@@ -202,8 +202,8 @@ StatusOr<OptimizedQuery> OptimizeBaseline(
   OptimizedQuery out;
   ASSIGN_OR_RETURN(
       Optimizer::BlockPlan top,
-      optimizer.FinishBlockPlan(b, plan, est_cost, rows, join_order, required,
-                                &out.subquery_plans));
+      optimizer.FinishBlockPlan(b, factors, sel, plan, est_cost, rows,
+                                join_order, required, &out.subquery_plans));
   out.block = std::move(block);
   out.root = top.root;
   out.est_cost = top.est_cost;

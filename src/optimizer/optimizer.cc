@@ -69,12 +69,11 @@ Status Optimizer::PlanSubqueriesIn(const BoundExpr& e,
 }
 
 StatusOr<Optimizer::BlockPlan> Optimizer::FinishBlockPlan(
-    const BoundQueryBlock& block, PlanRef join_root, double join_cost,
+    const BoundQueryBlock& block, const std::vector<BooleanFactor>& factors,
+    const SelectivityEstimator& sel, PlanRef join_root, double join_cost,
     double join_rows, OrderSpec join_order, const OrderSpec& pre_agg_required,
     SubplanMap* subplans, bool use_hash_aggregate) const {
   CostModel cost_model(options_.cost);
-  SelectivityEstimator sel(catalog_, &block, options_.use_column_stats);
-  std::vector<BooleanFactor> factors = ExtractBooleanFactors(block);
   // `pre_agg_required` documents the order the join phase delivered (the
   // GROUP BY order when aggregating); the ORDER-BY-vs-GROUP-BY check below
   // compares against the group_by items directly.
@@ -331,8 +330,8 @@ StatusOr<Optimizer::BlockPlan> Optimizer::PlanBlock(
     stats_sink->search_bytes = enumerator.ApproxBytes();
   }
 
-  return FinishBlockPlan(block, sol.plan, sol.cost, sol.rows, sol.order,
-                         required, subplans, use_hash_agg);
+  return FinishBlockPlan(block, factors, sel, sol.plan, sol.cost, sol.rows,
+                         sol.order, required, subplans, use_hash_agg);
 }
 
 StatusOr<OptimizedQuery> Optimizer::Optimize(

@@ -85,13 +85,17 @@ class Optimizer {
   /// Shared plan-top construction: residual filter for leftover factors
   /// (subquery/correlated predicates), aggregation, output ORDER BY sort,
   /// projection. Used by the DP optimizer and by the baselines, so all
-  /// strategies produce directly comparable full plans.
+  /// strategies produce directly comparable full plans. `factors` and `sel`
+  /// are the block's boolean factors and estimator from the join phase, so
+  /// each block takes one CNF pass.
   ///
   /// `use_hash_aggregate` switches the aggregation node to kHashAggregate
   /// over unordered input; the join phase then need not deliver the GROUP BY
   /// order, but any ORDER BY must be re-established by an output sort. The
   /// baselines never set it (they always sort to the required order first).
   StatusOr<BlockPlan> FinishBlockPlan(const BoundQueryBlock& block,
+                                      const std::vector<BooleanFactor>& factors,
+                                      const SelectivityEstimator& sel,
                                       PlanRef join_root, double join_cost,
                                       double join_rows, OrderSpec join_order,
                                       const OrderSpec& pre_agg_required,
