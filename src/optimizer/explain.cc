@@ -1,9 +1,6 @@
 #include "optimizer/explain.h"
 
-#include <cmath>
 #include <sstream>
-
-#include "exec/batch.h"
 
 namespace systemr {
 
@@ -80,10 +77,6 @@ void ExplainNode(const PlanRef& node, const BoundQueryBlock& block, int depth,
       os << " stats=stale";
     }
   }
-  // Batch-model row count: how many kBatchRows-sized batches the vectorized
-  // executor would move through this node for the estimated cardinality.
-  os << " batches=" << std::max(
-      1.0, std::ceil(node->est_rows / static_cast<double>(kBatchRows)));
   if (!node->order.empty()) os << " order=" << OrderSpecToString(node->order);
   os << "]";
   os << "\n";

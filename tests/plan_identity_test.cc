@@ -272,205 +272,206 @@ std::vector<std::pair<std::string, Golden>> MeasureCorpus() {
 }
 
 // Captured on the eager-enumeration optimizer (before the cost-first
-// rewrite) and unchanged since.
+// rewrite). The hash column was re-captured once when EXPLAIN dropped its
+// `batches=` annotation; the cost and search-size columns are unchanged.
 const Golden kGoldens[] = {
-    {"star/s1/q0", 0xc002902daf55e111ULL, 2.6945578231292515, 1, 1},
-    {"star/s1/q1", 0xf286ce28e7e5b715ULL, 3.7999999986000006, 1, 1},
-    {"star/s1/q2", 0xb11f02911af90957ULL, 1.0000000031999998, 1, 1},
-    {"star/s1/q3", 0xb62282e1ce428d3cULL, 3.4333333333333331, 2, 2},
-    {"star/s1/q4", 0x0d4c150d840f11a8ULL, 5.553333334764444, 71, 16},
-    {"star/s1/q5", 0xbadbddb4d1b04689ULL, 0, 1, 1},
-    {"star/s1/no-orders", 0xc6bf72c366e35e57ULL, 16.58122449302703, 32, 11},
-    {"star/s1/no-heuristic", 0xe6c65bb3cb8e2f5eULL, 16.481224493027028, 102, 25},
-    {"star/s1/no-hash", 0xe6c65bb3cb8e2f5eULL, 16.481224493027028, 61, 22},
-    {"star/s1/force-nl", 0xe6c65bb3cb8e2f5eULL, 16.481224493027028, 29, 22},
-    {"star/s1/force-merge", 0x3158e490006d3310ULL, 25.627891159693696, 37, 17},
-    {"star/s1/force-hash", 0x182e6391059d5b25ULL, 23.794557829222587, 25, 16},
-    {"snowflake/s2/q0", 0x7487433ce2f520faULL, 14, 1, 1},
-    {"snowflake/s2/q1", 0xddc361fc13d3b289ULL, 1.3856481481481482, 1, 1},
-    {"snowflake/s2/q2", 0xa6078e9f30ad381cULL, 3, 1, 1},
-    {"snowflake/s2/q3", 0x51ae139b9cd67d90ULL, 12.599999999999998, 20, 6},
-    {"snowflake/s2/q4", 0x612a76bace33e96eULL, 14.938461538461542, 20, 6},
-    {"snowflake/s2/q5", 0x8257badecf52a0fcULL, 32.140989170303158, 80, 19},
-    {"snowflake/s2/no-orders", 0x65bcfa5b419faec7ULL, 78.06509885691284, 50, 15},
-    {"snowflake/s2/no-heuristic", 0x1ddc8d2f0ddf64a5ULL, 78.06509885691284, 156, 38},
-    {"snowflake/s2/no-hash", 0x79d8d0253bff4f18ULL, 85.797177216171349, 97, 33},
-    {"snowflake/s2/force-nl", 0x784bf39a33301069ULL, 102.57639362358624, 45, 34},
-    {"snowflake/s2/force-merge", 0x938dbe9dd2b07f31ULL, 89.948904725949717, 61, 25},
-    {"snowflake/s2/force-hash", 0x8374e806a997add0ULL, 100.09421058637211, 40, 24},
-    {"chain/s3/q0", 0x1c82ca2982e07fc3ULL, 4.4666666666666677, 1, 1},
-    {"chain/s3/q1", 0x9f52ea8f9aaaa2dbULL, 1.1000000046000002, 1, 1},
-    {"chain/s3/q2", 0x833435e7cad206eeULL, 3.6692307692307695, 1, 1},
-    {"chain/s3/q3", 0x5fbddd2fae15b6b6ULL, 5.1868131868131861, 25, 8},
-    {"chain/s3/q4", 0xd6f950d237a4be92ULL, 2.311242603550296, 2, 2},
-    {"chain/s3/q5", 0x06094a4ab61055b1ULL, 0.1000000046, 1, 1},
-    {"chain/s3/no-orders", 0xd37860e17eed346cULL, 18.37418992185145, 15, 8},
-    {"chain/s3/no-heuristic", 0x940422ccd53bae53ULL, 16.833953235460918, 31, 14},
-    {"chain/s3/no-hash", 0x2158d4754e595d84ULL, 17.833953235460921, 26, 14},
-    {"chain/s3/force-nl", 0x2158d4754e595d84ULL, 17.833953235460921, 16, 14},
-    {"chain/s3/force-merge", 0xf7d8d8197fd43ac3ULL, 22.283969885477571, 21, 12},
-    {"chain/s3/force-hash", 0x6327fb2d6580ae03ULL, 25.547140048647734, 16, 12},
-    {"star/s4/q0", 0xc38370f798178e73ULL, 7.4000000000000004, 1, 1},
-    {"star/s4/q1", 0x647267d63beda0fdULL, 10.200000000000001, 1, 1},
-    {"star/s4/q2", 0xaf64cf7b96e13343ULL, 8.74209486166008, 20, 6},
-    {"star/s4/q3", 0x6b1ccdf716eadd78ULL, 4.2000000000000002, 2, 2},
-    {"star/s4/q4", 0x4e915770a546da6fULL, 2.3818840612384058, 49, 11},
-    {"star/s4/q5", 0x6a3d009cae4fb90cULL, 1.8444444444444446, 1, 1},
-    {"star/s4/no-orders", 0xa5a39a1ee6a02dc6ULL, 36.868423367342928, 41, 13},
-    {"star/s4/no-heuristic", 0xe84c8696831decaaULL, 34.768423367342926, 91, 24},
-    {"star/s4/no-hash", 0xe84c8696831decaaULL, 34.768423367342926, 59, 22},
-    {"star/s4/force-nl", 0xe84c8696831decaaULL, 34.768423367342926, 29, 22},
-    {"star/s4/force-merge", 0x10a3eed540f19952ULL, 39.473495831111045, 40, 19},
-    {"star/s4/force-hash", 0x7fe4c8ceb6ce33e6ULL, 40.315590693105904, 27, 18},
-    {"snowflake/s5/q0", 0x114af1cd579aa043ULL, 39.923076923076927, 71, 16},
-    {"snowflake/s5/q1", 0x618221f78d5345d7ULL, 17.246153846153849, 20, 6},
-    {"snowflake/s5/q2", 0x6f496b566576c94cULL, 4.7999999999999998, 1, 1},
-    {"snowflake/s5/q3", 0x6d0634b984b09fd4ULL, 48.789230769230777, 80, 19},
-    {"snowflake/s5/q4", 0x155a24562c6ead27ULL, 17.006923081533849, 71, 16},
-    {"snowflake/s5/q5", 0xfa63e0d46da3853bULL, 2.3333333333333335, 1, 1},
-    {"snowflake/s5/no-orders", 0x42ef9b7475dd3072ULL, 130.09871795332873, 93, 23},
-    {"snowflake/s5/no-heuristic", 0x052d917c2441a90cULL, 130.09871795332873, 327, 69},
-    {"snowflake/s5/no-hash", 0x0444983b6632e5afULL, 133.87256410567952, 190, 57},
-    {"snowflake/s5/force-nl", 0xcf560c5b4a51cf24ULL, 171.26410258329335, 82, 59},
-    {"snowflake/s5/force-merge", 0xbe01cb53743a376dULL, 143.58641025952568, 110, 41},
-    {"snowflake/s5/force-hash", 0x2ebbb60c7de85da1ULL, 173.4225641031949, 69, 38},
-    {"chain/s6/q0", 0x83e9dfab9aff4ab7ULL, 2.8666666666666671, 1, 1},
-    {"chain/s6/q1", 0xbc8d65caec91b859ULL, 5.7666666666666666, 20, 6},
-    {"chain/s6/q2", 0x17d68c6178ad50f7ULL, 10.541176470588235, 20, 6},
-    {"chain/s6/q3", 0x61acf05dbb923087ULL, 7.9894314868804654, 1, 1},
-    {"chain/s6/q4", 0x529ed6e0d5dd604aULL, 4.833333333333333, 1, 1},
-    {"chain/s6/q5", 0x9551cdc985792012ULL, 9.5, 1, 1},
-    {"chain/s6/no-orders", 0x2146d91e9640c323ULL, 46.46198050648831, 24, 10},
-    {"chain/s6/no-heuristic", 0xd8c65fc39b242cf0ULL, 41.497274624135365, 44, 16},
-    {"chain/s6/no-hash", 0x180f59c643673fdfULL, 46.597274624135366, 36, 16},
-    {"chain/s6/force-nl", 0x180f59c643673fdfULL, 46.597274624135366, 20, 16},
-    {"chain/s6/force-merge", 0xa920b93ff5bfe672ULL, 51.887470702566745, 28, 14},
-    {"chain/s6/force-hash", 0x1dbfee8665a7dd45ULL, 60.416882467272622, 20, 14},
-    {"star/s7/q0", 0xd46c65dfedfab6e5ULL, 1.11625, 1, 1},
-    {"star/s7/q1", 0x54173bbe46d759b1ULL, 5.5218181818181833, 71, 16},
-    {"star/s7/q2", 0x215066c7f0111c23ULL, 4.7000000000000002, 1, 1},
-    {"star/s7/q3", 0x18355969d0109f10ULL, 2.5531250000000005, 1, 1},
-    {"star/s7/q4", 0x0501bfc6d5f9e4f3ULL, 4.1000000000000005, 1, 1},
-    {"star/s7/q5", 0x473c421157350d6eULL, 15.500000000000002, 20, 6},
-    {"snowflake/s8/q0", 0xb4a7353635bdaae8ULL, 7, 20, 6},
-    {"snowflake/s8/q1", 0x3c0d7a6270f6efc6ULL, 2.3333333333333335, 1, 1},
-    {"snowflake/s8/q2", 0x6abff0c433c4c67aULL, 1, 2, 2},
-    {"snowflake/s8/q3", 0xba1776744d9c3142ULL, 2.4666666666666668, 1, 1},
-    {"snowflake/s8/q4", 0x780aa3d32305bb9dULL, 4.2110000000000003, 2, 2},
-    {"snowflake/s8/q5", 0x720ab3be565e7993ULL, 2.0666666666666669, 1, 1},
-    {"chain/s9/q0", 0x9cd861f38fb72983ULL, 7.5666666666666664, 71, 16},
-    {"chain/s9/q1", 0x3203b57d427ac055ULL, 1.0000000114000001, 1, 1},
-    {"chain/s9/q2", 0x9c4ed093121f661dULL, 4.8500000000000005, 1, 1},
-    {"chain/s9/q3", 0xd51cf2b6cf8110a2ULL, 2.4666666666666668, 1, 1},
-    {"chain/s9/q4", 0x623e44d8593c2a48ULL, 33.799999999999997, 20, 6},
-    {"chain/s9/q5", 0x6c88753889f6f751ULL, 2.166666666666667, 1, 1},
-    {"star/s10/q0", 0x0ad4c669198b63a6ULL, 3.7000000000000002, 20, 6},
-    {"star/s10/q1", 0xdd30d3c230e8731eULL, 2.4000000000000004, 1, 1},
-    {"star/s10/q2", 0x725da92c861f172cULL, 20.606250019656251, 88, 20},
-    {"star/s10/q3", 0x92e1143a8f08a324ULL, 2.8333333333333335, 1, 1},
-    {"star/s10/q4", 0xda167e6a9993cbdfULL, 8.3571428571428577, 20, 6},
-    {"star/s10/q5", 0x6d449912f1ef158dULL, 2.1366666666666667, 1, 1},
-    {"snowflake/s11/q0", 0x731a648715789b1cULL, 1.6750000133833334, 20, 6},
-    {"snowflake/s11/q1", 0x7cca7b46958392b9ULL, 2.6454545454545451, 15, 4},
-    {"snowflake/s11/q2", 0x70c34b2932596c20ULL, 3.2542229605922159, 20, 6},
-    {"snowflake/s11/q3", 0x1d5f6f7cf4dea40eULL, 3.0075757575757578, 1, 1},
-    {"snowflake/s11/q4", 0x9b9cd3c53880faa6ULL, 5.9786885245901651, 1, 1},
-    {"snowflake/s11/q5", 0x8da15faf45437b0eULL, 1.0909091045545454, 15, 4},
-    {"chain/s12/q0", 0x999f6ed509ea8b56ULL, 15.761904761904761, 20, 6},
-    {"chain/s12/q1", 0x9d04f8f9e6c594edULL, 20.714285714285712, 20, 6},
-    {"chain/s12/q2", 0x9f701664470fa658ULL, 3.9142857142857133, 20, 6},
-    {"chain/s12/q3", 0x89b81a28ebe7d29eULL, 1, 2, 2},
-    {"chain/s12/q4", 0xec7e9c3246aaecb2ULL, 1.6142857257142857, 20, 6},
-    {"chain/s12/q5", 0xe7398f6363830692ULL, 4.8000000000000007, 1, 1},
-    {"star/s13/q0", 0xcf70cf62a250d1fdULL, 0.97142857142857131, 1, 1},
-    {"star/s13/q1", 0x1671a83afde07a94ULL, 2.6000000000000001, 1, 1},
-    {"star/s13/q2", 0x3ac15bf323ac7b07ULL, 8.5061403508771907, 1, 1},
-    {"star/s13/q3", 0xcb235cf79c84d8e8ULL, 6.5076923076923077, 20, 6},
-    {"star/s13/q4", 0xcf36a38f7bc46c45ULL, 1.8698412696238094, 1, 1},
-    {"star/s13/q5", 0x783357c925e5f069ULL, 4, 2, 2},
-    {"snowflake/s14/q0", 0x6ff8e4e119151857ULL, 24.59375, 20, 6},
-    {"snowflake/s14/q1", 0x72c6608e74bb3bfdULL, 11.1, 1, 1},
-    {"snowflake/s14/q2", 0xc9e6dafa888301c1ULL, 11.070833333333335, 62, 14},
-    {"snowflake/s14/q3", 0x8e727b9f48dd679bULL, 2.1222222222222227, 20, 6},
-    {"snowflake/s14/q4", 0x997a2dc0be743d17ULL, 37.753124999999997, 71, 16},
-    {"snowflake/s14/q5", 0x69482e366e335149ULL, 17.359375000140624, 20, 6},
-    {"chain/s15/q0", 0x29ca3cb0ca20bed4ULL, 8.9729251744356446, 20, 6},
-    {"chain/s15/q1", 0x47777cf1024a7389ULL, 1.8400000000000003, 20, 6},
-    {"chain/s15/q2", 0x4517b895750b29c7ULL, 1.2999999999999998, 1, 1},
-    {"chain/s15/q3", 0x5c9fa89321ec1cd9ULL, 1.8115599981489194, 1, 1},
-    {"chain/s15/q4", 0x9322cf267718031fULL, 22.986666666666668, 20, 6},
-    {"chain/s15/q5", 0x8d44855298f09da8ULL, 13.513333333333334, 20, 6},
-    {"star/s16/q0", 0x9f311aaddb6261d7ULL, 2.736363639413637, 20, 6},
-    {"star/s16/q1", 0x09fce9dc390d4573ULL, 12.90909090909091, 20, 6},
-    {"star/s16/q2", 0x433132cf9f35ab1bULL, 1.2, 1, 1},
-    {"star/s16/q3", 0x13eb103e333930e6ULL, 4.7272727272727284, 20, 6},
-    {"star/s16/q4", 0x987b46bd4612e7e5ULL, 4.2095272727272732, 20, 6},
-    {"star/s16/q5", 0xe44e72f929c58625ULL, 2.1848484848272731, 1, 1},
-    {"snowflake/s17/q0", 0x102c65af9f869748ULL, 3.566666667866667, 20, 6},
-    {"snowflake/s17/q1", 0x20ae4ffdac170b12ULL, 4.6000000000000005, 1, 1},
-    {"snowflake/s17/q2", 0x0d657f8043a3d958ULL, 5.4000000000000004, 1, 1},
-    {"snowflake/s17/q3", 0x1e175a4c58aeacd3ULL, 2.1111111111111112, 1, 1},
-    {"snowflake/s17/q4", 0xa039b452b3599c7bULL, 4.1541666666666668, 1, 1},
-    {"snowflake/s17/q5", 0xa53fa05cc88c657bULL, 5.4000000000000004, 1, 1},
-    {"chain/s18/q0", 0x3b9e612fc037003dULL, 1.3702422145328723, 1, 1},
-    {"chain/s18/q1", 0x95f75fa852fbd188ULL, 1.4480534178361251, 2, 2},
-    {"chain/s18/q2", 0x0ab9d64c66656d44ULL, 2.9000000000000004, 1, 1},
-    {"chain/s18/q3", 0x56c4702683fdbb50ULL, 3.2000000000000011, 1, 1},
-    {"chain/s18/q4", 0x23a5e15ba8da7a76ULL, 2.882352941176471, 1, 1},
-    {"chain/s18/q5", 0xbc4b10c5bd38d81cULL, 1.8352941176470587, 1, 1},
-    {"star/s19/q0", 0xcabf70bec0b5b31dULL, 16.454761904761902, 20, 6},
-    {"star/s19/q1", 0x93c453901925cbb4ULL, 5.6000000003000006, 1, 1},
-    {"star/s19/q2", 0x1ae8da242336681fULL, 2.9499999993500001, 1, 1},
-    {"star/s19/q3", 0x0914d3ab8c2ba1fdULL, 3.0659090909090909, 20, 6},
-    {"star/s19/q4", 0xf73b7e5c7410aba4ULL, 5.3000000009000008, 1, 1},
-    {"star/s19/q5", 0xe1348de5b2947e37ULL, 1, 2, 2},
-    {"snowflake/s20/q0", 0xbec323e8347d8018ULL, 1.1000000000000001, 1, 1},
-    {"snowflake/s20/q1", 0x82bcfad229ae0145ULL, 3.8000000000000003, 1, 1},
-    {"snowflake/s20/q2", 0xa06eaf7a073e64f4ULL, 2.7333333333333334, 1, 1},
-    {"snowflake/s20/q3", 0x10abebafc7a0e445ULL, 14.100000000000001, 1, 1},
-    {"snowflake/s20/q4", 0x1bf8b0e8900720dbULL, 4, 2, 2},
-    {"snowflake/s20/q5", 0xfde85ca6b272e1d1ULL, 21.300000000000004, 1, 1},
-    {"chain/s21/q0", 0xddc25961e0e38700ULL, 4.2000000000000002, 1, 1},
-    {"chain/s21/q1", 0xcb2155250f652b98ULL, 2.9000000000000004, 1, 1},
-    {"chain/s21/q2", 0xbdf1b9b0bde88038ULL, 6.5999999999999996, 1, 1},
-    {"chain/s21/q3", 0xa105a69e17557baaULL, 2.8372395840466149, 20, 6},
-    {"chain/s21/q4", 0xa5695f1e69125e3fULL, 8.5, 1, 1},
-    {"chain/s21/q5", 0x272f6dabd3d6beb9ULL, 1.3916666764666665, 20, 6},
-    {"star/s22/q0", 0x205e2b79ab996634ULL, 3.4000000000000004, 2, 2},
-    {"star/s22/q1", 0xa3916564147233d0ULL, 2.1000000018000002, 1, 1},
-    {"star/s22/q2", 0x0bf230f48e087049ULL, 1.1000000000000001, 1, 1},
-    {"star/s22/q3", 0xa781d7a093105a57ULL, 3.2000000000000002, 1, 1},
-    {"star/s22/q4", 0xd8ef9d979a8e2849ULL, 4, 2, 2},
-    {"star/s22/q5", 0xa0c4dfa16fb1f9ffULL, 7.1999999999999993, 16, 4},
-    {"snowflake/s23/q0", 0x4243f5873595347cULL, 36.024999999999999, 71, 15},
-    {"snowflake/s23/q1", 0x05842925797571d1ULL, 13.5, 2, 2},
-    {"snowflake/s23/q2", 0x87d7ef540a0b87a7ULL, 4.0999999999999996, 1, 1},
-    {"snowflake/s23/q3", 0xd2dfdf17e93b03eeULL, 2.0263157894736841, 20, 6},
-    {"snowflake/s23/q4", 0x36772e7b4a6d3c93ULL, 15.25, 20, 6},
-    {"snowflake/s23/q5", 0xa57775eec641f130ULL, 16.399999999999999, 20, 6},
-    {"chain/s24/q0", 0x37c8ad45b1f085adULL, 4.548, 20, 6},
-    {"chain/s24/q1", 0xb800c37511fdc02cULL, 2.100000001397436, 1, 1},
-    {"chain/s24/q2", 0xca8c2dd105f29258ULL, 8.7471074380165312, 20, 6},
-    {"chain/s24/q3", 0xd1470aee243d5a44ULL, 8.2999999999999989, 1, 1},
-    {"chain/s24/q4", 0x0093d3ecc3718f94ULL, 2.1000000000000001, 1, 1},
-    {"chain/s24/q5", 0x20cd7445b5aab8caULL, 12.398076926278849, 20, 6},
-    {"star7/q0", 0x247bbbe3c5d8a882ULL, 25.699999999999999, 71, 15},
-    {"star7/q1", 0x1a3e06e295d1475cULL, 32.322222222222223, 71, 15},
-    {"star7/q2", 0x34aa00648ad4af51ULL, 38.261629629629631, 214, 34},
-    {"star7/q3", 0xb1e6661ac9419dadULL, 47.214444444444446, 214, 34},
-    {"star7/q4", 0xc304fe95c892eb23ULL, 58.69481560493827, 621, 77},
-    {"star7/q5", 0x26b72a1740c4e6a1ULL, 68.952749629629636, 621, 77},
-    {"star7/q6", 0x8ef71bf330500dd1ULL, 71.015042444115224, 1756, 176},
-    {"star7/q7", 0xa630c9862056ae72ULL, 85.193042883950639, 1756, 176},
-    {"star7/q8", 0x7aed0ca8e79f246fULL, 84.854099538172846, 4819, 403},
-    {"star7/q9", 0x64322b1ea99057caULL, 103.26433595851852, 4819, 403},
-    {"star7/q10", 0x4f7ed9d675a34fceULL, 49.173333333333332, 71, 15},
-    {"star7/no-orders", 0x97ee477315b12d84ULL, 664.64571568895462, 2797, 294},
-    {"star7/no-heuristic", 0xc98c607fdb12ddcaULL, 664.64571568895462, 25672, 2226},
-    {"star7/no-hash", 0x1d281c79df112557ULL, 675.64571568895462, 11309, 1425},
-    {"star7/force-nl", 0x16ad5039d338d8d9ULL, 1952.6406954604777, 4321, 1624},
-    {"star7/force-merge", 0x665039490c242119ULL, 5035.6342340383862, 3569, 781},
-    {"star7/force-hash", 0x213d8d64969fecf4ULL, 8299.5183603987498, 1049, 378},
+    {"star/s1/q0", 0x6d2d8f14bd7267e3ULL, 2.6945578231292515, 1, 1},
+    {"star/s1/q1", 0xed7d1e862f89dea1ULL, 3.7999999986000006, 1, 1},
+    {"star/s1/q2", 0x5dfd689e2bca26f7ULL, 1.0000000031999998, 1, 1},
+    {"star/s1/q3", 0x496b3f4169139070ULL, 3.4333333333333331, 2, 2},
+    {"star/s1/q4", 0x9ba1b30794dc7e54ULL, 5.553333334764444, 71, 16},
+    {"star/s1/q5", 0x02affdd0c24f5d9fULL, 0, 1, 1},
+    {"star/s1/no-orders", 0x1f68867c86a1a379ULL, 16.58122449302703, 32, 11},
+    {"star/s1/no-heuristic", 0xef0ded1c3ad17ddeULL, 16.481224493027028, 102, 25},
+    {"star/s1/no-hash", 0xef0ded1c3ad17ddeULL, 16.481224493027028, 61, 22},
+    {"star/s1/force-nl", 0xef0ded1c3ad17ddeULL, 16.481224493027028, 29, 22},
+    {"star/s1/force-merge", 0xbcf8bfeb46a089aaULL, 25.627891159693696, 37, 17},
+    {"star/s1/force-hash", 0x9aaa6452d966b0c5ULL, 23.794557829222587, 25, 16},
+    {"snowflake/s2/q0", 0x81b5586d63327aa4ULL, 14, 1, 1},
+    {"snowflake/s2/q1", 0xfa24929301ac61b1ULL, 1.3856481481481482, 1, 1},
+    {"snowflake/s2/q2", 0x1e50f9f128a1d6c8ULL, 3, 1, 1},
+    {"snowflake/s2/q3", 0x6f7f0c08eeeb9520ULL, 12.599999999999998, 20, 6},
+    {"snowflake/s2/q4", 0xa38c6134b840a3b6ULL, 14.938461538461542, 20, 6},
+    {"snowflake/s2/q5", 0x94a27e1f65b9bfeeULL, 32.140989170303158, 80, 19},
+    {"snowflake/s2/no-orders", 0x7871c22712d183c7ULL, 78.06509885691284, 50, 15},
+    {"snowflake/s2/no-heuristic", 0x1cc472ffbe0b5dd5ULL, 78.06509885691284, 156, 38},
+    {"snowflake/s2/no-hash", 0x1c88f6017f284a64ULL, 85.797177216171349, 97, 33},
+    {"snowflake/s2/force-nl", 0x4fa9caad9590db19ULL, 102.57639362358624, 45, 34},
+    {"snowflake/s2/force-merge", 0x76a4d81cc117c9a9ULL, 89.948904725949717, 61, 25},
+    {"snowflake/s2/force-hash", 0xf61a2ba4fab5afe8ULL, 100.09421058637211, 40, 24},
+    {"chain/s3/q0", 0x070bb40a29b0cad9ULL, 4.4666666666666677, 1, 1},
+    {"chain/s3/q1", 0x258d92e4f2b5d0adULL, 1.1000000046000002, 1, 1},
+    {"chain/s3/q2", 0x0b7ca37435cd0d7eULL, 3.6692307692307695, 1, 1},
+    {"chain/s3/q3", 0x2b60206f94213d12ULL, 5.1868131868131861, 25, 8},
+    {"chain/s3/q4", 0x2e8ca93d88d141deULL, 2.311242603550296, 2, 2},
+    {"chain/s3/q5", 0xb0bd7ef34f1b65fdULL, 0.1000000046, 1, 1},
+    {"chain/s3/no-orders", 0x6d5149da43dd8012ULL, 18.37418992185145, 15, 8},
+    {"chain/s3/no-heuristic", 0xcb4f9095dd7f54dfULL, 16.833953235460918, 31, 14},
+    {"chain/s3/no-hash", 0x336f916079aae326ULL, 17.833953235460921, 26, 14},
+    {"chain/s3/force-nl", 0x336f916079aae326ULL, 17.833953235460921, 16, 14},
+    {"chain/s3/force-merge", 0x83cdf777c4bf3413ULL, 22.283969885477571, 21, 12},
+    {"chain/s3/force-hash", 0x1caa9551d0f37e19ULL, 25.547140048647734, 16, 12},
+    {"star/s4/q0", 0x5e980d7d8884a037ULL, 7.4000000000000004, 1, 1},
+    {"star/s4/q1", 0xfb137db6803d0579ULL, 10.200000000000001, 1, 1},
+    {"star/s4/q2", 0xb589bd157f47893fULL, 8.74209486166008, 20, 6},
+    {"star/s4/q3", 0x8f9b7f42fbe360b4ULL, 4.2000000000000002, 2, 2},
+    {"star/s4/q4", 0xa8d2e705af4eb22dULL, 2.3818840612384058, 49, 11},
+    {"star/s4/q5", 0xa6763814168ee656ULL, 1.8444444444444446, 1, 1},
+    {"star/s4/no-orders", 0xd98a0713c8ad3caaULL, 36.868423367342928, 41, 13},
+    {"star/s4/no-heuristic", 0xfa026c863050585aULL, 34.768423367342926, 91, 24},
+    {"star/s4/no-hash", 0xfa026c863050585aULL, 34.768423367342926, 59, 22},
+    {"star/s4/force-nl", 0xfa026c863050585aULL, 34.768423367342926, 29, 22},
+    {"star/s4/force-merge", 0x31fbf7f1a183cac8ULL, 39.473495831111045, 40, 19},
+    {"star/s4/force-hash", 0xfdd2bd3fb4ce2f1aULL, 40.315590693105904, 27, 18},
+    {"snowflake/s5/q0", 0x13f99a8504a65d0fULL, 39.923076923076927, 71, 16},
+    {"snowflake/s5/q1", 0x80cdd542178d6509ULL, 17.246153846153849, 20, 6},
+    {"snowflake/s5/q2", 0xa6513eb3ca84f348ULL, 4.7999999999999998, 1, 1},
+    {"snowflake/s5/q3", 0xe2363c6323ec8eccULL, 48.789230769230777, 80, 19},
+    {"snowflake/s5/q4", 0xe7c540e526e5d39bULL, 17.006923081533849, 71, 16},
+    {"snowflake/s5/q5", 0xc50a74070ec63b71ULL, 2.3333333333333335, 1, 1},
+    {"snowflake/s5/no-orders", 0xc928a647371dcd4aULL, 130.09871795332873, 93, 23},
+    {"snowflake/s5/no-heuristic", 0x82eb74cb66f44744ULL, 130.09871795332873, 327, 69},
+    {"snowflake/s5/no-hash", 0x1d95179a2893f375ULL, 133.87256410567952, 190, 57},
+    {"snowflake/s5/force-nl", 0xd7308cffac456008ULL, 171.26410258329335, 82, 59},
+    {"snowflake/s5/force-merge", 0x902fd195c6ab8e19ULL, 143.58641025952568, 110, 41},
+    {"snowflake/s5/force-hash", 0x37b98757f9a0f735ULL, 173.4225641031949, 69, 38},
+    {"chain/s6/q0", 0x2fce6a47bd11565bULL, 2.8666666666666671, 1, 1},
+    {"chain/s6/q1", 0x5610e0d34712ff63ULL, 5.7666666666666666, 20, 6},
+    {"chain/s6/q2", 0xbedfb6b6f7978533ULL, 10.541176470588235, 20, 6},
+    {"chain/s6/q3", 0x0c5920f725e6c7c1ULL, 7.9894314868804654, 1, 1},
+    {"chain/s6/q4", 0xc651f2c9c9c18b80ULL, 4.833333333333333, 1, 1},
+    {"chain/s6/q5", 0x98550d3f114f867aULL, 9.5, 1, 1},
+    {"chain/s6/no-orders", 0xbf1a8397e117be43ULL, 46.46198050648831, 24, 10},
+    {"chain/s6/no-heuristic", 0x7afe3da38aac3116ULL, 41.497274624135365, 44, 16},
+    {"chain/s6/no-hash", 0x1def8ef7a5fd6fdbULL, 46.597274624135366, 36, 16},
+    {"chain/s6/force-nl", 0x1def8ef7a5fd6fdbULL, 46.597274624135366, 20, 16},
+    {"chain/s6/force-merge", 0xe9691b92dd67a5aaULL, 51.887470702566745, 28, 14},
+    {"chain/s6/force-hash", 0xbc873d839a2cea11ULL, 60.416882467272622, 20, 14},
+    {"star/s7/q0", 0xc6dc5f6c6e3abf4bULL, 1.11625, 1, 1},
+    {"star/s7/q1", 0xa62d60c317fdba0dULL, 5.5218181818181833, 71, 16},
+    {"star/s7/q2", 0xeaa885ffb535cec9ULL, 4.7000000000000002, 1, 1},
+    {"star/s7/q3", 0xf21c4b3e19e7f58eULL, 2.5531250000000005, 1, 1},
+    {"star/s7/q4", 0x93b9189610ab17cdULL, 4.1000000000000005, 1, 1},
+    {"star/s7/q5", 0x1cfb85214345c25eULL, 15.500000000000002, 20, 6},
+    {"snowflake/s8/q0", 0xf6e859648c1a50ccULL, 7, 20, 6},
+    {"snowflake/s8/q1", 0xc17edc54c572d056ULL, 2.3333333333333335, 1, 1},
+    {"snowflake/s8/q2", 0x53e78a00c81359aeULL, 1, 2, 2},
+    {"snowflake/s8/q3", 0x0144cb0c7b8c3040ULL, 2.4666666666666668, 1, 1},
+    {"snowflake/s8/q4", 0x7de79b432d264533ULL, 4.2110000000000003, 2, 2},
+    {"snowflake/s8/q5", 0x316e7829a310722bULL, 2.0666666666666669, 1, 1},
+    {"chain/s9/q0", 0xc0c82c9a168c9dd9ULL, 7.5666666666666664, 71, 16},
+    {"chain/s9/q1", 0x652ea42bb28b5bc5ULL, 1.0000000114000001, 1, 1},
+    {"chain/s9/q2", 0xa1cf3d58556740f7ULL, 4.8500000000000005, 1, 1},
+    {"chain/s9/q3", 0x2b6074288cdbd522ULL, 2.4666666666666668, 1, 1},
+    {"chain/s9/q4", 0x6ff2994c108cf7ccULL, 33.799999999999997, 20, 6},
+    {"chain/s9/q5", 0x41c51b32ce131973ULL, 2.166666666666667, 1, 1},
+    {"star/s10/q0", 0xbfbe7c2d25058d22ULL, 3.7000000000000002, 20, 6},
+    {"star/s10/q1", 0x0b8de8a8313b3212ULL, 2.4000000000000004, 1, 1},
+    {"star/s10/q2", 0xe1887d0dcfbbfc98ULL, 20.606250019656251, 88, 20},
+    {"star/s10/q3", 0x88f79a154c0af644ULL, 2.8333333333333335, 1, 1},
+    {"star/s10/q4", 0xb093e45b04a47897ULL, 8.3571428571428577, 20, 6},
+    {"star/s10/q5", 0xda5f2c77ca09c69fULL, 2.1366666666666667, 1, 1},
+    {"snowflake/s11/q0", 0x6781987d5f878c08ULL, 1.6750000133833334, 20, 6},
+    {"snowflake/s11/q1", 0xe84cfbc52484446dULL, 2.6454545454545451, 15, 4},
+    {"snowflake/s11/q2", 0x1f2a0fbb09f6ba7eULL, 3.2542229605922159, 20, 6},
+    {"snowflake/s11/q3", 0xffa5a09f7170125cULL, 3.0075757575757578, 1, 1},
+    {"snowflake/s11/q4", 0xdb715d8e2b39ba98ULL, 5.9786885245901651, 1, 1},
+    {"snowflake/s11/q5", 0x97121c05ec4c4e66ULL, 1.0909091045545454, 15, 4},
+    {"chain/s12/q0", 0xbe4d9348737f7ac6ULL, 15.761904761904761, 20, 6},
+    {"chain/s12/q1", 0x03590ae85cc0c829ULL, 20.714285714285712, 20, 6},
+    {"chain/s12/q2", 0x9dca79f8738408caULL, 3.9142857142857133, 20, 6},
+    {"chain/s12/q3", 0xe17db6ef65f6be34ULL, 1, 2, 2},
+    {"chain/s12/q4", 0xc3c663aa87b8cba4ULL, 1.6142857257142857, 20, 6},
+    {"chain/s12/q5", 0x58c297cad418580aULL, 4.8000000000000007, 1, 1},
+    {"star/s13/q0", 0x2cb8913fb8d7fff9ULL, 0.97142857142857131, 1, 1},
+    {"star/s13/q1", 0x11570b44c70232faULL, 2.6000000000000001, 1, 1},
+    {"star/s13/q2", 0xf4725b0b4cefe04bULL, 8.5061403508771907, 1, 1},
+    {"star/s13/q3", 0x9f64919bdc2355b4ULL, 6.5076923076923077, 20, 6},
+    {"star/s13/q4", 0xa9d64b174ea53e39ULL, 1.8698412696238094, 1, 1},
+    {"star/s13/q5", 0xb7d0168db9cd63c3ULL, 4, 2, 2},
+    {"snowflake/s14/q0", 0x52db7f06a8654c6dULL, 24.59375, 20, 6},
+    {"snowflake/s14/q1", 0xc73129704937eaa5ULL, 11.1, 1, 1},
+    {"snowflake/s14/q2", 0x4d2c27669d4e4331ULL, 11.070833333333335, 62, 14},
+    {"snowflake/s14/q3", 0x890094922ddda4f3ULL, 2.1222222222222227, 20, 6},
+    {"snowflake/s14/q4", 0xc19c9785c05c573dULL, 37.753124999999997, 71, 16},
+    {"snowflake/s14/q5", 0x49d467a2ed679b09ULL, 17.359375000140624, 20, 6},
+    {"chain/s15/q0", 0x9672169f2c847f80ULL, 8.9729251744356446, 20, 6},
+    {"chain/s15/q1", 0xc86a282e4a03e24dULL, 1.8400000000000003, 20, 6},
+    {"chain/s15/q2", 0x113646c92ee3887fULL, 1.2999999999999998, 1, 1},
+    {"chain/s15/q3", 0x74a7519ebbc1aacdULL, 1.8115599981489194, 1, 1},
+    {"chain/s15/q4", 0x5f675b84f96ca669ULL, 22.986666666666668, 20, 6},
+    {"chain/s15/q5", 0xf6a2fd178eb4ec50ULL, 13.513333333333334, 20, 6},
+    {"star/s16/q0", 0xe772cda5b6263911ULL, 2.736363639413637, 20, 6},
+    {"star/s16/q1", 0x438dbfa5fdd5f9b7ULL, 12.90909090909091, 20, 6},
+    {"star/s16/q2", 0x81c941c73f2a2827ULL, 1.2, 1, 1},
+    {"star/s16/q3", 0x150c8e784575ad66ULL, 4.7272727272727284, 20, 6},
+    {"star/s16/q4", 0x716eeec4abfa55fbULL, 4.2095272727272732, 20, 6},
+    {"star/s16/q5", 0x34972b1608de3301ULL, 2.1848484848272731, 1, 1},
+    {"snowflake/s17/q0", 0x265147ee350e56b6ULL, 3.566666667866667, 20, 6},
+    {"snowflake/s17/q1", 0x56db4f970e98b07aULL, 4.6000000000000005, 1, 1},
+    {"snowflake/s17/q2", 0x4e2d40b2147fc396ULL, 5.4000000000000004, 1, 1},
+    {"snowflake/s17/q3", 0x33aa5ed57b38a941ULL, 2.1111111111111112, 1, 1},
+    {"snowflake/s17/q4", 0x9a16083685097a25ULL, 4.1541666666666668, 1, 1},
+    {"snowflake/s17/q5", 0x512fdc25d60f6a7dULL, 5.4000000000000004, 1, 1},
+    {"chain/s18/q0", 0xe9c430e199dc8567ULL, 1.3702422145328723, 1, 1},
+    {"chain/s18/q1", 0x8c56f43cc186f486ULL, 1.4480534178361251, 2, 2},
+    {"chain/s18/q2", 0x28265156f760c3c8ULL, 2.9000000000000004, 1, 1},
+    {"chain/s18/q3", 0xf0b9b2091fb50480ULL, 3.2000000000000011, 1, 1},
+    {"chain/s18/q4", 0x7f106bfd2b3b8a32ULL, 2.882352941176471, 1, 1},
+    {"chain/s18/q5", 0x8681b8345a17eb86ULL, 1.8352941176470587, 1, 1},
+    {"star/s19/q0", 0x9fe050c24e3fa937ULL, 16.454761904761902, 20, 6},
+    {"star/s19/q1", 0x90e119b43185159aULL, 5.6000000003000006, 1, 1},
+    {"star/s19/q2", 0xa40855bd81798561ULL, 2.9499999993500001, 1, 1},
+    {"star/s19/q3", 0x9a63351bcff1072bULL, 3.0659090909090909, 20, 6},
+    {"star/s19/q4", 0x6b92443c10cb7d9aULL, 5.3000000009000008, 1, 1},
+    {"star/s19/q5", 0x27896ff717c5576fULL, 1, 2, 2},
+    {"snowflake/s20/q0", 0xbbc64223a4697bb4ULL, 1.1000000000000001, 1, 1},
+    {"snowflake/s20/q1", 0xca39bcae93845147ULL, 3.8000000000000003, 1, 1},
+    {"snowflake/s20/q2", 0x959c6b417cdd4c7aULL, 2.7333333333333334, 1, 1},
+    {"snowflake/s20/q3", 0x7d112fd28d907ee1ULL, 14.100000000000001, 1, 1},
+    {"snowflake/s20/q4", 0x7b282b91518d83d7ULL, 4, 2, 2},
+    {"snowflake/s20/q5", 0x234a517d508a2ecfULL, 21.300000000000004, 1, 1},
+    {"chain/s21/q0", 0x852899592a72bcd4ULL, 4.2000000000000002, 1, 1},
+    {"chain/s21/q1", 0x128bbee6e76662b2ULL, 2.9000000000000004, 1, 1},
+    {"chain/s21/q2", 0x76733ef339b864daULL, 6.5999999999999996, 1, 1},
+    {"chain/s21/q3", 0x1a97d79b76ec77eeULL, 2.8372395840466149, 20, 6},
+    {"chain/s21/q4", 0x44ef86963e46af8dULL, 8.5, 1, 1},
+    {"chain/s21/q5", 0xb5dfd94052cb1625ULL, 1.3916666764666665, 20, 6},
+    {"star/s22/q0", 0x2902627b9f87feccULL, 3.4000000000000004, 2, 2},
+    {"star/s22/q1", 0xa17cd553b6a8584aULL, 2.1000000018000002, 1, 1},
+    {"star/s22/q2", 0xf10aabd4baba408bULL, 1.1000000000000001, 1, 1},
+    {"star/s22/q3", 0x6442411d2d7d44b5ULL, 3.2000000000000002, 1, 1},
+    {"star/s22/q4", 0x11823fc1812d2551ULL, 4, 2, 2},
+    {"star/s22/q5", 0xc348dffceeef13a3ULL, 7.1999999999999993, 16, 4},
+    {"snowflake/s23/q0", 0x72e383512e58b54cULL, 36.024999999999999, 71, 15},
+    {"snowflake/s23/q1", 0x5785bfa973d781a9ULL, 13.5, 2, 2},
+    {"snowflake/s23/q2", 0x78fabc1e661e7b47ULL, 4.0999999999999996, 1, 1},
+    {"snowflake/s23/q3", 0x42d6e59ad4eaacdaULL, 2.0263157894736841, 20, 6},
+    {"snowflake/s23/q4", 0xe16f54590276bd07ULL, 15.25, 20, 6},
+    {"snowflake/s23/q5", 0x3f853b7e5113c638ULL, 16.399999999999999, 20, 6},
+    {"chain/s24/q0", 0x6195dca47397e1bbULL, 4.548, 20, 6},
+    {"chain/s24/q1", 0x509be69263d205b8ULL, 2.100000001397436, 1, 1},
+    {"chain/s24/q2", 0x4448bec19fb17158ULL, 8.7471074380165312, 20, 6},
+    {"chain/s24/q3", 0x145035c30fafddd2ULL, 8.2999999999999989, 1, 1},
+    {"chain/s24/q4", 0x459f2224641365f0ULL, 2.1000000000000001, 1, 1},
+    {"chain/s24/q5", 0xc20a85b187b1e006ULL, 12.398076926278849, 20, 6},
+    {"star7/q0", 0xb9b0bcec1c7d5318ULL, 25.699999999999999, 71, 15},
+    {"star7/q1", 0xfcfb797550329b60ULL, 32.322222222222223, 71, 15},
+    {"star7/q2", 0xa6825709501c7245ULL, 38.261629629629631, 214, 34},
+    {"star7/q3", 0xeef380d08a778e87ULL, 47.214444444444446, 214, 34},
+    {"star7/q4", 0x2de441294f6784f5ULL, 58.69481560493827, 621, 77},
+    {"star7/q5", 0x34f835f3759753b9ULL, 68.952749629629636, 621, 77},
+    {"star7/q6", 0x851c6cb972e44855ULL, 71.015042444115224, 1756, 176},
+    {"star7/q7", 0x18cedd02d09f3e78ULL, 85.193042883950639, 1756, 176},
+    {"star7/q8", 0xf1382c93d369c9cfULL, 84.854099538172846, 4819, 403},
+    {"star7/q9", 0x0f00306a78260222ULL, 103.26433595851852, 4819, 403},
+    {"star7/q10", 0xdc25733955fdcf4cULL, 49.173333333333332, 71, 15},
+    {"star7/no-orders", 0x0df901aa35d45a22ULL, 664.64571568895462, 2797, 294},
+    {"star7/no-heuristic", 0x139fd95812364160ULL, 664.64571568895462, 25672, 2226},
+    {"star7/no-hash", 0xebbf7c3d4dee5af3ULL, 675.64571568895462, 11309, 1425},
+    {"star7/force-nl", 0xc8fed525ef0df5e9ULL, 1952.6406954604777, 4321, 1624},
+    {"star7/force-merge", 0x73263c4a0430117bULL, 5035.6342340383862, 3569, 781},
+    {"star7/force-hash", 0xd36ee92eead55f14ULL, 8299.5183603987498, 1049, 378},
 };
 
 TEST(PlanIdentityTest, PlansMatchGoldens) {
