@@ -70,6 +70,8 @@ StatusOr<DmlScan> CollectTargets(Catalog* catalog,
   // budget observes it.
   MeterScope meter_scope(&exec.meter());
   exec.ArmLimits();
+  ExprProgram leftover_program;
+  leftover_program.CompilePreds(&leftover);
   ScanOp scan(&exec, &block, best->node.get(), nullptr);
   RETURN_IF_ERROR(scan.Open());
   while (true) {
@@ -78,7 +80,8 @@ StatusOr<DmlScan> CollectTargets(Catalog* catalog,
     bool has;
     RETURN_IF_ERROR(scan.Next(&row, &has));
     if (!has) break;
-    ASSIGN_OR_RETURN(bool ok, EvalAll(leftover, &exec, row));
+    bool ok;
+    RETURN_IF_ERROR(leftover_program.EvalBool(&exec, row, &ok));
     if (!ok) continue;
     out.matches.emplace_back(scan.last_tid(), std::move(row));
   }
@@ -122,7 +125,8 @@ StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
   const BoundQueryBlock& block = *scan.block;
   const TableInfo& table = *block.tables[0].table;
 
-  // Bind SET targets and right-hand sides in the block's scope.
+  // Bind SET targets and right-hand sides in the block's scope, and compile
+  // each right-hand side once for the whole statement.
   Binder binder(catalog);
   std::vector<std::pair<size_t, std::unique_ptr<BoundExpr>>> sets;
   for (const auto& [column, expr] : stmt->sets) {
@@ -139,6 +143,10 @@ StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
     }
     sets.emplace_back(*ordinal, std::move(bound));
   }
+  std::vector<ExprProgram> set_programs(sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    set_programs[i].CompileExpr(sets[i].second.get());
+  }
 
   ExecContext exec(catalog->rss(), catalog, &scan.subplans, options.cost.w);
   if (limits != nullptr) exec.set_limits(*limits);
@@ -149,8 +157,10 @@ StatusOr<size_t> ExecuteUpdateStatement(Catalog* catalog,
     // New base-table row = old columns with SET expressions applied (all
     // evaluated against the pre-update image).
     Row new_row(row.begin(), row.begin() + table.schema.num_columns());
-    for (const auto& [ordinal, expr] : sets) {
-      ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, &exec, row));
+    for (size_t i = 0; i < sets.size(); ++i) {
+      size_t ordinal = sets[i].first;
+      Value v;
+      RETURN_IF_ERROR(set_programs[i].EvalValue(&exec, row, &v));
       // INT target with a REAL expression result: truncate, like System R's
       // assignment semantics for arithmetic expressions.
       if (!v.is_null() &&

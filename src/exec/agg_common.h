@@ -35,11 +35,13 @@ struct AggState {
 void MergeAggStates(std::vector<AggState>* into,
                     const std::vector<AggState>& from);
 
-/// The compiled aggregate functions of one query block.
+/// The compiled aggregate functions of one query block, plus its SELECT
+/// list and HAVING clause compiled over their results.
 class AggFunctionSet {
  public:
   /// Collects and compiles every aggregate in the node's SELECT list and
-  /// HAVING clause. Call once at operator construction.
+  /// HAVING clause, then compiles those two over the aggregate results.
+  /// Call once at operator construction.
   void Compile(const PlanNode* node);
 
   size_t size() const { return funcs_.size(); }
@@ -51,30 +53,26 @@ class AggFunctionSet {
   Status Accept(ExecContext* ctx, const Row& row,
                 std::vector<AggState>* states);
 
+  /// Finishes one group: evaluates HAVING (if any) and, when it passes, the
+  /// SELECT list into `*out`. Aggregate leaves read the group's results;
+  /// plain columns come from its representative row `rep`. *keep is false
+  /// when HAVING rejects the group.
+  Status EmitGroup(ExecContext* ctx, const Row& rep,
+                   const std::vector<AggState>& states, Row* out, bool* keep);
+
+ private:
   /// Final value of aggregate `i` given its accumulated state.
   Value Result(size_t i, const AggState& state) const;
 
-  /// Evaluates `e` with aggregate leaves bound to accumulated results and
-  /// plain columns taken from the group's representative row.
-  StatusOr<Value> EvalWithAggs(ExecContext* ctx, const BoundExpr& e,
-                               const Row& rep,
-                               const std::vector<AggState>& states) const;
-
-  /// Evaluates the node's SELECT list for one finished group into `*out`.
-  Status EmitSelect(ExecContext* ctx, const PlanNode* node, const Row& rep,
-                    const std::vector<AggState>& states, Row* out) const;
-
-  /// True when the node's HAVING clause (if any) accepts the group.
-  StatusOr<bool> HavingPasses(ExecContext* ctx, const PlanNode* node,
-                              const Row& rep,
-                              const std::vector<AggState>& states) const;
-
- private:
   struct CompiledAgg {
     const BoundExpr* agg = nullptr;
     ExprProgram arg;  // Compiled argument expression (COUNT(*) has none).
   };
   std::vector<CompiledAgg> funcs_;
+  std::vector<ExprProgram> select_;
+  ExprProgram having_;
+  bool has_having_ = false;
+  std::vector<Value> results_;  // Scratch: the current group's results.
 };
 
 }  // namespace systemr

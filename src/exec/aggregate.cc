@@ -50,11 +50,9 @@ Status AggregateOp::Next(Row* out, bool* has_row) {
     if (!SameGroup(group_rep_, pending_)) {
       // Group boundary: emit if HAVING passes, else skip the group.
       group_open_ = false;
-      ASSIGN_OR_RETURN(bool keep,
-                       funcs_.HavingPasses(ctx_, node_, group_rep_, states_));
+      bool keep;
+      RETURN_IF_ERROR(funcs_.EmitGroup(ctx_, group_rep_, states_, out, &keep));
       if (!keep) continue;
-      RETURN_IF_ERROR(
-          funcs_.EmitSelect(ctx_, node_, group_rep_, states_, out));
       emitted_any_ = true;
       *has_row = true;
       return Status::OK();
@@ -66,16 +64,9 @@ Status AggregateOp::Next(Row* out, bool* has_row) {
   if (group_open_) {
     group_open_ = false;
     done_ = true;
-    ASSIGN_OR_RETURN(bool keep,
-                     funcs_.HavingPasses(ctx_, node_, group_rep_, states_));
-    if (keep) {
-      RETURN_IF_ERROR(
-          funcs_.EmitSelect(ctx_, node_, group_rep_, states_, out));
-      emitted_any_ = true;
-      *has_row = true;
-      return Status::OK();
-    }
-    *has_row = false;
+    bool keep;
+    RETURN_IF_ERROR(funcs_.EmitGroup(ctx_, group_rep_, states_, out, &keep));
+    *has_row = keep;
     return Status::OK();
   }
   if (!emitted_any_ && node_->group_offsets.empty()) {
@@ -85,15 +76,9 @@ Status AggregateOp::Next(Row* out, bool* has_row) {
     done_ = true;
     emitted_any_ = true;
     funcs_.ResetStates(&states_);
-    ASSIGN_OR_RETURN(bool keep,
-                     funcs_.HavingPasses(ctx_, node_, group_rep_, states_));
-    if (keep) {
-      RETURN_IF_ERROR(
-          funcs_.EmitSelect(ctx_, node_, group_rep_, states_, out));
-      *has_row = true;
-      return Status::OK();
-    }
-    *has_row = false;
+    bool keep;
+    RETURN_IF_ERROR(funcs_.EmitGroup(ctx_, group_rep_, states_, out, &keep));
+    *has_row = keep;
     return Status::OK();
   }
   done_ = true;

@@ -49,10 +49,14 @@ struct ExecStats {
   uint64_t buffer_gets = 0;          // All buffer-pool page requests.
   uint64_t buffer_hits = 0;          // Requests served from the pool.
 
-  // --- Vectorized execution counters ---
-  uint64_t batches = 0;          // Batches produced by batch-native operators.
-  uint64_t batch_rows_in = 0;    // Rows materialized into those batches.
-  uint64_t batch_rows_out = 0;   // Rows surviving each batch's selection.
+  // --- Operator row counters ---
+  // Residual-predicate traffic of the scan, filter and hash-join operators:
+  // batch_rows_in counts the rows each of them tested (every tuple a scan
+  // took from the RSI, every row a filter pulled, every key-verified hash
+  // match), batch_rows_out the ones that passed. The names predate the
+  // removal of the batch protocol and are kept for existing readers.
+  uint64_t batch_rows_in = 0;
+  uint64_t batch_rows_out = 0;
   uint64_t hash_build_rows = 0;  // Rows inserted into hash-join build tables.
   uint64_t hash_probe_rows = 0;  // Outer rows probed against them.
 
@@ -61,8 +65,8 @@ struct ExecStats {
   uint64_t parallel_morsels = 0;  // Page-range morsels those workers pulled.
 
   uint64_t page_io() const { return page_fetches + page_writes; }
-  /// Average selection-vector density of the produced batches (1.0 = every
-  /// materialized row survived its predicates).
+  /// Fraction of the rows tested by operator residuals that passed them
+  /// (1.0 = every row survived).
   double AvgSelectionDensity() const {
     return batch_rows_in == 0
                ? 1.0
@@ -108,10 +112,9 @@ class ExecContext {
   MeterCounters& meter() { return meter_; }
   const MeterCounters& meter() const { return meter_; }
 
-  /// Per-statement vectorized-execution counters, incremented by the
-  /// batch-native operators and copied into ExecStats after the run.
-  struct BatchCounters {
-    uint64_t batches = 0;
+  /// Per-statement operator counters (see ExecStats for their meaning),
+  /// copied into ExecStats after the run.
+  struct Counters {
     uint64_t batch_rows_in = 0;
     uint64_t batch_rows_out = 0;
     uint64_t hash_build_rows = 0;
@@ -119,8 +122,8 @@ class ExecContext {
     uint64_t parallel_workers = 0;
     uint64_t parallel_morsels = 0;
   };
-  BatchCounters& batch_counters() { return batch_counters_; }
-  const BatchCounters& batch_counters() const { return batch_counters_; }
+  Counters& counters() { return counters_; }
+  const Counters& counters() const { return counters_; }
 
   /// Total rows each scan node produced over the statement, flushed by
   /// ScanOp::Close. `exhausted` records whether the scan ran to end of
@@ -271,7 +274,7 @@ class ExecContext {
 
   std::vector<PageId> temp_pages_;
   MeterCounters meter_;
-  BatchCounters batch_counters_;
+  Counters counters_;
   std::map<const PlanNode*, ScanObservation> scan_observations_;
   ExecLimits limits_;
   bool interruptible_ = false;

@@ -75,7 +75,7 @@ StatusOr<ExecResult> ExecutePlan(ExecContext* ctx,
   // meter: the delta below measures exactly this statement's work even with
   // other sessions running against the same RSS.
   MeterCounters before = ctx->meter();
-  ExecContext::BatchCounters bc_before = ctx->batch_counters();
+  ExecContext::Counters counters_before = ctx->counters();
   MeterScope scope(&ctx->meter());
   ExecResult result;
   std::unique_ptr<Operator> op =
@@ -83,18 +83,12 @@ StatusOr<ExecResult> ExecutePlan(ExecContext* ctx,
   if (op == nullptr) return Status::Internal("unbuildable plan");
   ctx->ArmLimits();
   RETURN_IF_ERROR(op->Open());
-  // Drive the tree batch at a time: batch-native subtrees (scans, filters,
-  // projections, hash join) amortize virtual dispatch and page fetches over
-  // kBatchRows rows; tuple-only operators are bridged by the base-class
-  // NextBatch shim at the same per-row cost the scalar loop paid.
-  RowBatch batch;
+  Row row;
   while (true) {
     bool has;
-    RETURN_IF_ERROR(op->NextBatch(&batch, &has));
+    RETURN_IF_ERROR(op->Next(&row, &has));
     if (!has) break;
-    for (uint32_t idx : batch.sel) {
-      result.rows.push_back(std::move(batch.rows[idx]));
-    }
+    result.rows.push_back(std::move(row));
     RETURN_IF_ERROR(ctx->CheckRowLimit(result.rows.size()));
   }
   op->Close();
@@ -111,18 +105,19 @@ StatusOr<ExecResult> ExecutePlan(ExecContext* ctx,
     result.stats.subquery_evals += cache.evaluations;
     result.stats.subquery_cache_hits += cache.hits;
   }
-  const ExecContext::BatchCounters& bc = ctx->batch_counters();
-  result.stats.batches = bc.batches - bc_before.batches;
-  result.stats.batch_rows_in = bc.batch_rows_in - bc_before.batch_rows_in;
-  result.stats.batch_rows_out = bc.batch_rows_out - bc_before.batch_rows_out;
+  const ExecContext::Counters& counters = ctx->counters();
+  result.stats.batch_rows_in =
+      counters.batch_rows_in - counters_before.batch_rows_in;
+  result.stats.batch_rows_out =
+      counters.batch_rows_out - counters_before.batch_rows_out;
   result.stats.hash_build_rows =
-      bc.hash_build_rows - bc_before.hash_build_rows;
+      counters.hash_build_rows - counters_before.hash_build_rows;
   result.stats.hash_probe_rows =
-      bc.hash_probe_rows - bc_before.hash_probe_rows;
+      counters.hash_probe_rows - counters_before.hash_probe_rows;
   result.stats.parallel_workers =
-      bc.parallel_workers - bc_before.parallel_workers;
+      counters.parallel_workers - counters_before.parallel_workers;
   result.stats.parallel_morsels =
-      bc.parallel_morsels - bc_before.parallel_morsels;
+      counters.parallel_morsels - counters_before.parallel_morsels;
   result.actual_cost = result.stats.ActualCost(ctx->w());
   return result;
 }

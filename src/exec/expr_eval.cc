@@ -1,16 +1,6 @@
 #include "exec/expr_eval.h"
 
-#include <algorithm>
-
-#include "exec/subquery_eval.h"
-
 namespace systemr {
-
-namespace {
-
-Value BoolValue(bool b) { return Value::Int(b ? 1 : 0); }
-
-}  // namespace
 
 bool LikeMatch(const std::string& s, const std::string& pattern) {
   size_t si = 0, pi = 0;
@@ -68,124 +58,6 @@ Status EvalArithInto(char op, const Value& a, const Value& b, Value* out) {
     case '*': *out = Value::Real(x * y); return Status::OK();
   }
   return Status::Internal("unknown arithmetic operator");
-}
-
-StatusOr<Value> EvalExpr(const BoundExpr& e, ExecContext* ctx,
-                         const Row& row) {
-  switch (e.kind) {
-    case BoundExprKind::kColumn:
-      if (e.outer_level == 0) {
-        if (e.offset >= row.size()) {
-          return Status::Internal("column offset out of range");
-        }
-        return row[e.offset];
-      }
-      return ctx->OuterValue(e.outer_level, e.offset);
-    case BoundExprKind::kLiteral:
-      return e.literal;
-    case BoundExprKind::kParameter: {
-      Value v;
-      RETURN_IF_ERROR(ctx->ParamValue(e.param_idx, &v));
-      return v;
-    }
-    case BoundExprKind::kCompare: {
-      // Scalar-subquery operands are evaluated (with caching) first.
-      Value lhs, rhs;
-      for (int side = 0; side < 2; ++side) {
-        const BoundExpr& operand = *e.children[side];
-        Value v;
-        if (operand.kind == BoundExprKind::kSubquery) {
-          ASSIGN_OR_RETURN(v, EvalScalarSubquery(ctx, operand.subquery.get(),
-                                                 row));
-        } else {
-          ASSIGN_OR_RETURN(v, EvalExpr(operand, ctx, row));
-        }
-        (side == 0 ? lhs : rhs) = std::move(v);
-      }
-      return BoolValue(EvalCompare(e.op, lhs, rhs));
-    }
-    case BoundExprKind::kAnd: {
-      ASSIGN_OR_RETURN(Value a, EvalExpr(*e.children[0], ctx, row));
-      if (a.is_null() || a.AsInt() == 0) return BoolValue(false);
-      ASSIGN_OR_RETURN(Value b, EvalExpr(*e.children[1], ctx, row));
-      return BoolValue(!b.is_null() && b.AsInt() != 0);
-    }
-    case BoundExprKind::kOr: {
-      ASSIGN_OR_RETURN(Value a, EvalExpr(*e.children[0], ctx, row));
-      if (!a.is_null() && a.AsInt() != 0) return BoolValue(true);
-      ASSIGN_OR_RETURN(Value b, EvalExpr(*e.children[1], ctx, row));
-      return BoolValue(!b.is_null() && b.AsInt() != 0);
-    }
-    case BoundExprKind::kNot: {
-      ASSIGN_OR_RETURN(Value a, EvalExpr(*e.children[0], ctx, row));
-      return BoolValue(a.is_null() || a.AsInt() == 0);
-    }
-    case BoundExprKind::kArith: {
-      ASSIGN_OR_RETURN(Value a, EvalExpr(*e.children[0], ctx, row));
-      ASSIGN_OR_RETURN(Value b, EvalExpr(*e.children[1], ctx, row));
-      Value v;
-      RETURN_IF_ERROR(EvalArithInto(e.arith_op, a, b, &v));
-      return v;
-    }
-    case BoundExprKind::kBetween: {
-      ASSIGN_OR_RETURN(Value v, EvalExpr(*e.children[0], ctx, row));
-      ASSIGN_OR_RETURN(Value lo, EvalExpr(*e.children[1], ctx, row));
-      ASSIGN_OR_RETURN(Value hi, EvalExpr(*e.children[2], ctx, row));
-      return BoolValue(EvalCompare(CompareOp::kGe, v, lo) &&
-                       EvalCompare(CompareOp::kLe, v, hi));
-    }
-    case BoundExprKind::kInList: {
-      ASSIGN_OR_RETURN(Value v, EvalExpr(*e.children[0], ctx, row));
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        ASSIGN_OR_RETURN(Value item, EvalExpr(*e.children[i], ctx, row));
-        if (EvalCompare(CompareOp::kEq, v, item)) return BoolValue(true);
-      }
-      return BoolValue(false);
-    }
-    case BoundExprKind::kInSubquery: {
-      ASSIGN_OR_RETURN(Value v, EvalExpr(*e.children[0], ctx, row));
-      if (v.is_null()) return BoolValue(false);
-      ASSIGN_OR_RETURN(const std::vector<Value>* list,
-                       EvalInSubqueryList(ctx, e.subquery.get(), row));
-      // The temporary list is sorted, so membership is a binary search.
-      bool found = std::binary_search(
-          list->begin(), list->end(), v,
-          [](const Value& a, const Value& b) { return a.Compare(b) < 0; });
-      return BoolValue(found);
-    }
-    case BoundExprKind::kSubquery:
-      return EvalScalarSubquery(ctx, e.subquery.get(), row);
-    case BoundExprKind::kAggregate:
-      return Status::Internal(
-          "aggregate evaluated outside an Aggregate operator");
-    case BoundExprKind::kIsNull: {
-      ASSIGN_OR_RETURN(Value v, EvalExpr(*e.children[0], ctx, row));
-      return BoolValue(e.negated ? !v.is_null() : v.is_null());
-    }
-    case BoundExprKind::kLike: {
-      ASSIGN_OR_RETURN(Value subject, EvalExpr(*e.children[0], ctx, row));
-      ASSIGN_OR_RETURN(Value pattern, EvalExpr(*e.children[1], ctx, row));
-      if (subject.is_null() || pattern.is_null()) return BoolValue(false);
-      bool match = LikeMatch(subject.AsStr(), pattern.AsStr());
-      return BoolValue(e.negated ? !match : match);
-    }
-  }
-  return Status::Internal("unhandled expression kind");
-}
-
-StatusOr<bool> EvalPredicate(const BoundExpr& e, ExecContext* ctx,
-                             const Row& row) {
-  ASSIGN_OR_RETURN(Value v, EvalExpr(e, ctx, row));
-  return !v.is_null() && v.AsInt() != 0;
-}
-
-StatusOr<bool> EvalAll(const std::vector<const BoundExpr*>& preds,
-                       ExecContext* ctx, const Row& row) {
-  for (const BoundExpr* p : preds) {
-    ASSIGN_OR_RETURN(bool ok, EvalPredicate(*p, ctx, row));
-    if (!ok) return false;
-  }
-  return true;
 }
 
 }  // namespace systemr

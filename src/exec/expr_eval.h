@@ -1,37 +1,23 @@
-// Bound-expression evaluation over block-width rows, including correlated
-// column references (via the ExecContext ancestor stack) and subquery
-// operands (§6).
+// Value primitives of expression evaluation, used by the compiled programs
+// (exec/expr_program.h): SQL LIKE matching and arithmetic under the engine's
+// NULL and typing rules.
 #ifndef SYSTEMR_EXEC_EXPR_EVAL_H_
 #define SYSTEMR_EXEC_EXPR_EVAL_H_
 
+#include <string>
+
 #include "common/status.h"
-#include "exec/exec_context.h"
-#include "optimizer/bound_expr.h"
+#include "common/value.h"
 
 namespace systemr {
 
-/// Evaluates `e` over `row` (a block-width row of the block that owns `e`).
-/// Boolean results are Int(0)/Int(1); NULL propagates through arithmetic and
-/// makes comparisons false (folded to 0).
-StatusOr<Value> EvalExpr(const BoundExpr& e, ExecContext* ctx, const Row& row);
-
-/// Evaluates a predicate; NULL is false.
-StatusOr<bool> EvalPredicate(const BoundExpr& e, ExecContext* ctx,
-                             const Row& row);
-
-/// Conjunction helper for residual predicate lists.
-StatusOr<bool> EvalAll(const std::vector<const BoundExpr*>& preds,
-                       ExecContext* ctx, const Row& row);
-
 /// SQL LIKE: '%' matches any sequence, '_' any single character. Iterative
 /// two-pointer backtracking — O(|s|·|pattern|) worst case, so pathological
-/// patterns like "%a%a%a%a%a" stay cheap. Shared by the interpreter and the
-/// compiled predicate programs.
+/// patterns like "%a%a%a%a%a" stay cheap.
 bool LikeMatch(const std::string& s, const std::string& pattern);
 
 /// Arithmetic with the engine's NULL/typing rules, written into *out (no
-/// StatusOr temporary on the hot path). Shared by the interpreter and the
-/// compiled predicate programs.
+/// StatusOr temporary on the hot path).
 Status EvalArithInto(char op, const Value& a, const Value& b, Value* out);
 
 }  // namespace systemr

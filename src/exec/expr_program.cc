@@ -46,316 +46,175 @@ uint32_t ExprProgram::AddConst(Value v) {
   return static_cast<uint32_t>(consts_.size() - 1);
 }
 
-bool ExprProgram::Emit(const BoundExpr& e) {
-  if (e.kind != BoundExprKind::kLiteral && IsConstExpr(e)) {
-    // Constant folding: a const subtree never touches ctx or the row.
-    StatusOr<Value> v = EvalExpr(e, nullptr, kEmptyRow);
-    if (v.ok()) {
-      Step s;
-      s.op = Op::kPushConst;
-      s.a = AddConst(std::move(*v));
-      steps_.push_back(s);
-      return true;
-    }
-    // Folding failed (e.g. arithmetic on a string literal): emit the steps so
-    // the same error surfaces at run time, as the interpreter would.
-  }
-  switch (e.kind) {
-    case BoundExprKind::kColumn: {
-      Step s;
-      if (e.outer_level == 0) {
-        s.op = Op::kPushColumn;
-        s.a = static_cast<uint32_t>(e.offset);
-      } else {
-        s.op = Op::kPushOuter;
-        s.a = static_cast<uint32_t>(e.outer_level);
-        s.b = static_cast<uint32_t>(e.offset);
-      }
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kLiteral: {
-      Step s;
-      s.op = Op::kPushConst;
-      s.a = AddConst(e.literal);
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kParameter: {
-      Step s;
-      s.op = Op::kPushParam;
-      s.a = static_cast<uint32_t>(e.param_idx);
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kCompare: {
-      if (!Emit(*e.children[0]) || !Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kCompare;
-      s.cmp = e.op;
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kAnd: {
-      if (!Emit(*e.children[0])) return false;
-      size_t jump = steps_.size();
-      steps_.push_back(Step{});
-      steps_[jump].op = Op::kJumpIfFalse;
-      if (!Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kToBool;
-      steps_.push_back(s);
-      steps_[jump].a = static_cast<uint32_t>(steps_.size());
-      return true;
-    }
-    case BoundExprKind::kOr: {
-      if (!Emit(*e.children[0])) return false;
-      size_t jump = steps_.size();
-      steps_.push_back(Step{});
-      steps_[jump].op = Op::kJumpIfTrue;
-      if (!Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kToBool;
-      steps_.push_back(s);
-      steps_[jump].a = static_cast<uint32_t>(steps_.size());
-      return true;
-    }
-    case BoundExprKind::kNot: {
-      if (!Emit(*e.children[0])) return false;
-      Step s;
-      s.op = Op::kNot;
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kArith: {
-      if (!Emit(*e.children[0]) || !Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kArith;
-      s.arith = e.arith_op;
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kBetween: {
-      if (!Emit(*e.children[0]) || !Emit(*e.children[1]) ||
-          !Emit(*e.children[2])) {
-        return false;
-      }
-      Step s;
-      s.op = Op::kBetween;
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kInList: {
-      if (!Emit(*e.children[0])) return false;
-      bool all_const = true;
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        if (!IsConstExpr(*e.children[i])) {
-          all_const = false;
-          break;
-        }
-      }
-      if (all_const) {
-        // Pre-evaluate and sort the list once; NULL items can never match
-        // (x = NULL is false), so they are dropped outright.
-        std::vector<Value> items;
-        items.reserve(e.children.size() - 1);
-        for (size_t i = 1; all_const && i < e.children.size(); ++i) {
-          StatusOr<Value> v = EvalExpr(*e.children[i], nullptr, kEmptyRow);
-          if (!v.ok()) {
-            all_const = false;
-            break;
-          }
-          if (!v->is_null()) items.push_back(std::move(*v));
-        }
-        if (all_const) {
-          std::sort(items.begin(), items.end(), ValueLess);
-          Step s;
-          s.op = Op::kInSortedConsts;
-          s.a = static_cast<uint32_t>(lists_.size());
-          lists_.push_back(std::move(items));
-          steps_.push_back(s);
-          return true;
-        }
-      }
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        if (!Emit(*e.children[i])) return false;
-      }
-      Step s;
-      s.op = Op::kInRow;
-      s.a = static_cast<uint32_t>(e.children.size() - 1);
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kInSubquery: {
-      if (!Emit(*e.children[0])) return false;
-      Step s;
-      s.op = Op::kInSubquery;
-      s.subquery = e.subquery.get();
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kSubquery: {
-      Step s;
-      s.op = Op::kScalarSubquery;
-      s.subquery = e.subquery.get();
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kAggregate:
-      // Aggregates resolve against accumulators inside AggregateOp; the
-      // caller falls back to the interpreter path.
-      return false;
-    case BoundExprKind::kIsNull: {
-      if (!Emit(*e.children[0])) return false;
-      Step s;
-      s.op = Op::kIsNull;
-      s.negated = e.negated;
-      steps_.push_back(s);
-      return true;
-    }
-    case BoundExprKind::kLike: {
-      if (!Emit(*e.children[0]) || !Emit(*e.children[1])) return false;
-      Step s;
-      s.op = Op::kLike;
-      s.negated = e.negated;
-      steps_.push_back(s);
-      return true;
-    }
-  }
-  return false;
+ExprProgram::Step& ExprProgram::EmitStep(Op op, uint32_t a) {
+  steps_.emplace_back();
+  steps_.back().op = op;
+  steps_.back().a = a;
+  return steps_.back();
 }
 
-void ExprProgram::CompileExpr(const BoundExpr* e) {
-  fallback_expr_ = e;
-  fallback_preds_ = nullptr;
+bool ExprProgram::FoldConst(const BoundExpr& e, Value* out) {
+  if (e.kind == BoundExprKind::kLiteral) {
+    *out = e.literal;
+    return true;
+  }
+  ExprProgram sub;
+  sub.fold_ = false;
+  sub.Emit(e);
+  sub.Finish();
+  // A constant subtree never touches the context or the row.
+  const Value* top = nullptr;
+  if (!sub.Run(nullptr, kEmptyRow, nullptr, &top).ok()) return false;
+  *out = *top;
+  return true;
+}
+
+void ExprProgram::Emit(const BoundExpr& e) {
+  Value folded;
+  if (fold_ && e.kind != BoundExprKind::kLiteral && IsConstExpr(e) &&
+      FoldConst(e, &folded)) {
+    EmitStep(Op::kPushConst, AddConst(std::move(folded)));
+    return;
+  }
+  switch (e.kind) {
+    case BoundExprKind::kColumn:
+      if (e.outer_level == 0) {
+        EmitStep(Op::kPushColumn, static_cast<uint32_t>(e.offset));
+      } else {
+        EmitStep(Op::kPushOuter, static_cast<uint32_t>(e.outer_level)).b =
+            static_cast<uint32_t>(e.offset);
+      }
+      return;
+    case BoundExprKind::kLiteral:
+      EmitStep(Op::kPushConst, AddConst(e.literal));
+      return;
+    case BoundExprKind::kParameter:
+      EmitStep(Op::kPushParam, static_cast<uint32_t>(e.param_idx));
+      return;
+    case BoundExprKind::kCompare:
+      Emit(*e.children[0]);
+      Emit(*e.children[1]);
+      EmitStep(Op::kCompare).cmp = e.op;
+      return;
+    case BoundExprKind::kAnd:
+    case BoundExprKind::kOr: {
+      Emit(*e.children[0]);
+      size_t jump = steps_.size();
+      EmitStep(e.kind == BoundExprKind::kAnd ? Op::kJumpIfFalse
+                                             : Op::kJumpIfTrue);
+      Emit(*e.children[1]);
+      EmitStep(Op::kToBool);
+      steps_[jump].a = static_cast<uint32_t>(steps_.size());
+      return;
+    }
+    case BoundExprKind::kNot:
+      Emit(*e.children[0]);
+      EmitStep(Op::kNot);
+      return;
+    case BoundExprKind::kArith:
+      Emit(*e.children[0]);
+      Emit(*e.children[1]);
+      EmitStep(Op::kArith).arith = e.arith_op;
+      return;
+    case BoundExprKind::kBetween:
+      Emit(*e.children[0]);
+      Emit(*e.children[1]);
+      Emit(*e.children[2]);
+      EmitStep(Op::kBetween);
+      return;
+    case BoundExprKind::kInList: {
+      Emit(*e.children[0]);
+      // An all-constant list is evaluated and sorted once; NULL items can
+      // never match (x = NULL is false), so they are dropped outright.
+      std::vector<Value> items;
+      bool all_const = true;
+      for (size_t i = 1; all_const && i < e.children.size(); ++i) {
+        Value v;
+        const BoundExpr& item = *e.children[i];
+        all_const = IsConstExpr(item) && FoldConst(item, &v);
+        if (all_const && !v.is_null()) items.push_back(std::move(v));
+      }
+      if (all_const) {
+        std::sort(items.begin(), items.end(), ValueLess);
+        EmitStep(Op::kInSortedConsts, static_cast<uint32_t>(lists_.size()));
+        lists_.push_back(std::move(items));
+        return;
+      }
+      for (size_t i = 1; i < e.children.size(); ++i) Emit(*e.children[i]);
+      EmitStep(Op::kInRow, static_cast<uint32_t>(e.children.size() - 1));
+      return;
+    }
+    case BoundExprKind::kInSubquery:
+      Emit(*e.children[0]);
+      EmitStep(Op::kInSubquery).subquery = e.subquery.get();
+      return;
+    case BoundExprKind::kSubquery:
+      EmitStep(Op::kScalarSubquery).subquery = e.subquery.get();
+      return;
+    case BoundExprKind::kAggregate: {
+      // Index of this leaf among the caller's aggregate results; an unknown
+      // leaf gets an index past the end, which Run reports as an error.
+      uint32_t idx = UINT32_MAX;
+      if (agg_leaves_ != nullptr) {
+        auto it = std::find(agg_leaves_->begin(), agg_leaves_->end(), &e);
+        if (it != agg_leaves_->end()) {
+          idx = static_cast<uint32_t>(it - agg_leaves_->begin());
+        }
+      }
+      EmitStep(Op::kPushAgg, idx);
+      return;
+    }
+    case BoundExprKind::kIsNull:
+      Emit(*e.children[0]);
+      EmitStep(Op::kIsNull).negated = e.negated;
+      return;
+    case BoundExprKind::kLike:
+      Emit(*e.children[0]);
+      Emit(*e.children[1]);
+      EmitStep(Op::kLike).negated = e.negated;
+      return;
+  }
+}
+
+void ExprProgram::Finish() {
+  // Each step pushes at most one net slot, so this bound never reallocates.
+  stack_.resize(steps_.size() + 1);
+}
+
+void ExprProgram::CompileExpr(const BoundExpr* e,
+                              const std::vector<const BoundExpr*>* aggs) {
   steps_.clear();
   consts_.clear();
   lists_.clear();
-  compiled_ = Emit(*e);
-  if (!compiled_) {
-    steps_.clear();
-    consts_.clear();
-    lists_.clear();
-  }
-  // Each step pushes at most one net slot, so this bound never reallocates.
-  stack_.resize(steps_.size() + 1);
-  ClassifyForBatch();
+  agg_leaves_ = aggs;
+  Emit(*e);
+  agg_leaves_ = nullptr;
+  Finish();
 }
 
 void ExprProgram::CompilePreds(const std::vector<const BoundExpr*>* preds) {
-  fallback_expr_ = nullptr;
-  fallback_preds_ = preds;
   steps_.clear();
   consts_.clear();
   lists_.clear();
-  compiled_ = true;
   if (preds->empty()) {
-    Step s;
-    s.op = Op::kPushConst;
-    s.a = AddConst(Value::Int(1));
-    steps_.push_back(s);
+    EmitStep(Op::kPushConst, AddConst(Value::Int(1)));
   } else {
     std::vector<size_t> jumps;
-    for (size_t i = 0; compiled_ && i < preds->size(); ++i) {
-      if (!Emit(*(*preds)[i])) {
-        compiled_ = false;
-        break;
-      }
+    for (size_t i = 0; i < preds->size(); ++i) {
+      Emit(*(*preds)[i]);
       if (i + 1 < preds->size()) {
         jumps.push_back(steps_.size());
-        steps_.push_back(Step{});
-        steps_[jumps.back()].op = Op::kJumpIfFalse;
+        EmitStep(Op::kJumpIfFalse);
       }
     }
-    if (compiled_) {
-      Step s;
-      s.op = Op::kToBool;
-      steps_.push_back(s);
-      for (size_t j : jumps) {
-        steps_[j].a = static_cast<uint32_t>(steps_.size());
-      }
-    }
+    EmitStep(Op::kToBool);
+    for (size_t j : jumps) steps_[j].a = static_cast<uint32_t>(steps_.size());
   }
-  if (!compiled_) {
-    steps_.clear();
-    consts_.clear();
-    lists_.clear();
-  }
-  stack_.resize(steps_.size() + 1);
-  ClassifyForBatch();
+  Finish();
 }
 
-void ExprProgram::ClassifyForBatch() {
-  batch_kind_ = BatchKind::kGeneric;
-  if (!compiled_) return;
-  if (steps_.size() == 1 && steps_[0].op == Op::kPushConst) {
-    // The empty predicate list compiles to a constant-true push.
-    if (Truthy(consts_[steps_[0].a])) batch_kind_ = BatchKind::kAlwaysOn;
-    return;
-  }
-  // Single comparison: [push, push, compare] with an optional trailing
-  // kToBool (CompilePreds appends one; kCompare already yields 0/1).
-  size_t n = steps_.size();
-  bool tail_ok = n == 3 || (n == 4 && steps_[3].op == Op::kToBool);
-  if (!tail_ok || steps_[2].op != Op::kCompare) return;
-  if (steps_[0].op != Op::kPushColumn) return;
-  if (steps_[1].op == Op::kPushConst) {
-    batch_kind_ = BatchKind::kColConst;
-  } else if (steps_[1].op == Op::kPushColumn) {
-    batch_kind_ = BatchKind::kColCol;
-  }
-}
-
-Status ExprProgram::EvalBoolBatch(ExecContext* ctx,
-                                  const std::vector<Row>& rows,
-                                  std::vector<uint32_t>* sel) {
-  switch (batch_kind_) {
-    case BatchKind::kAlwaysOn:
-      return Status::OK();
-    case BatchKind::kColConst: {
-      const CompareOp cmp = steps_[2].cmp;
-      const uint32_t col = steps_[0].a;
-      const Value& rhs = consts_[steps_[1].a];
-      size_t out = 0;
-      for (uint32_t idx : *sel) {
-        const Row& r = rows[idx];
-        if (col >= r.size()) {
-          return Status::Internal("column offset out of range");
-        }
-        if (EvalCompare(cmp, r[col], rhs)) (*sel)[out++] = idx;
-      }
-      sel->resize(out);
-      return Status::OK();
-    }
-    case BatchKind::kColCol: {
-      const CompareOp cmp = steps_[2].cmp;
-      const uint32_t lhs = steps_[0].a;
-      const uint32_t rhs = steps_[1].a;
-      size_t out = 0;
-      for (uint32_t idx : *sel) {
-        const Row& r = rows[idx];
-        if (lhs >= r.size() || rhs >= r.size()) {
-          return Status::Internal("column offset out of range");
-        }
-        if (EvalCompare(cmp, r[lhs], r[rhs])) (*sel)[out++] = idx;
-      }
-      sel->resize(out);
-      return Status::OK();
-    }
-    case BatchKind::kGeneric:
-      break;
-  }
-  size_t out = 0;
-  for (uint32_t idx : *sel) {
-    bool ok = false;
-    RETURN_IF_ERROR(EvalBool(ctx, rows[idx], &ok));
-    if (ok) (*sel)[out++] = idx;
-  }
-  sel->resize(out);
-  return Status::OK();
-}
-
-Status ExprProgram::Run(ExecContext* ctx, const Row& row, const Value** top) {
+Status ExprProgram::Run(ExecContext* ctx, const Row& row,
+                        const std::vector<Value>* aggs, const Value** top) {
   Slot* stack = stack_.data();
   size_t sp = 0;
   const size_t n = steps_.size();
@@ -493,6 +352,13 @@ Status ExprProgram::Run(ExecContext* ctx, const Row& row, const Value** top) {
         dst.ref = &dst.owned;
         break;
       }
+      case Op::kPushAgg:
+        if (aggs == nullptr || s.a >= aggs->size()) {
+          return Status::Internal(
+              "aggregate evaluated outside an aggregation");
+        }
+        stack[sp++].ref = &(*aggs)[s.a];
+        break;
       case Op::kInSubquery: {
         Slot& dst = stack[sp - 1];
         const Value& v = *dst.ref;
@@ -515,37 +381,18 @@ Status ExprProgram::Run(ExecContext* ctx, const Row& row, const Value** top) {
   return Status::OK();
 }
 
-Status ExprProgram::EvalBool(ExecContext* ctx, const Row& row, bool* out) {
-  if (!compiled_) {
-    if (fallback_preds_ != nullptr) {
-      StatusOr<bool> r = EvalAll(*fallback_preds_, ctx, row);
-      if (!r.ok()) return r.status();
-      *out = *r;
-      return Status::OK();
-    }
-    StatusOr<bool> r = EvalPredicate(*fallback_expr_, ctx, row);
-    if (!r.ok()) return r.status();
-    *out = *r;
-    return Status::OK();
-  }
+Status ExprProgram::EvalBool(ExecContext* ctx, const Row& row, bool* out,
+                             const std::vector<Value>* aggs) {
   const Value* top = nullptr;
-  RETURN_IF_ERROR(Run(ctx, row, &top));
+  RETURN_IF_ERROR(Run(ctx, row, aggs, &top));
   *out = Truthy(*top);
   return Status::OK();
 }
 
-Status ExprProgram::EvalValue(ExecContext* ctx, const Row& row, Value* out) {
-  if (!compiled_) {
-    if (fallback_expr_ == nullptr) {
-      return Status::Internal("value program compiled from a predicate list");
-    }
-    StatusOr<Value> r = EvalExpr(*fallback_expr_, ctx, row);
-    if (!r.ok()) return r.status();
-    *out = std::move(*r);
-    return Status::OK();
-  }
+Status ExprProgram::EvalValue(ExecContext* ctx, const Row& row, Value* out,
+                              const std::vector<Value>* aggs) {
   const Value* top = nullptr;
-  RETURN_IF_ERROR(Run(ctx, row, &top));
+  RETURN_IF_ERROR(Run(ctx, row, aggs, &top));
   *out = *top;
   return Status::OK();
 }

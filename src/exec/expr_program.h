@@ -1,16 +1,17 @@
 // Compiled predicate/value programs — the executor's stand-in for System R's
-// generated access-module code (§2). A BoundExpr tree is flattened ONCE, at
-// operator construction, into a postfix array of small steps evaluated with
-// an explicit value stack: no recursion, no StatusOr<Value> temporaries on
-// the hot path, constant sub-expressions folded at compile time, and AND/OR
-// short-circuiting via jump steps. Column and constant operands are pushed
-// by reference, so a comparison over two columns touches no Value copies at
-// all.
+// generated access-module code (§2), and its only expression evaluator. A
+// BoundExpr tree is flattened ONCE, at operator construction, into a postfix
+// array of small steps evaluated with an explicit value stack: no recursion,
+// no StatusOr<Value> temporaries on the hot path, constant sub-expressions
+// folded at compile time (by running their own compiled sub-program), and
+// AND/OR short-circuiting via jump steps. Column and constant operands are
+// pushed by reference, so a comparison over two columns touches no Value
+// copies at all.
 //
-// Anything the program evaluator cannot express (aggregate leaves, which are
-// resolved against accumulators inside AggregateOp) falls back to the
-// recursive interpreter in expr_eval — semantics are identical either way,
-// which the differential fuzz harness checks.
+// Every expression kind compiles, aggregate leaves included: a leaf becomes
+// a step that reads the finished aggregate results the caller passes in
+// (see AggFunctionSet), so HAVING and SELECT over groups run the same
+// programs as WHERE.
 #ifndef SYSTEMR_EXEC_EXPR_PROGRAM_H_
 #define SYSTEMR_EXEC_EXPR_PROGRAM_H_
 
@@ -27,30 +28,26 @@ class ExprProgram {
   ExprProgram() = default;
 
   /// Compiles `e` (owned by the plan, which outlives the operator) for
-  /// repeated evaluation.
-  void CompileExpr(const BoundExpr* e);
+  /// repeated evaluation. `aggs` lists the aggregate expressions whose
+  /// results the caller will pass to Eval*, in that order; an aggregate leaf
+  /// of `e` compiles to a read of its result. Without `aggs`, evaluating an
+  /// aggregate leaf is an internal error.
+  void CompileExpr(const BoundExpr* e,
+                   const std::vector<const BoundExpr*>* aggs = nullptr);
 
-  /// Compiles the conjunction of `preds` with EvalAll semantics: conjuncts
-  /// are evaluated left to right, NULL counts as false, and the first false
-  /// conjunct short-circuits the rest.
+  /// Compiles the conjunction of `preds`: conjuncts are evaluated left to
+  /// right, NULL counts as false, and the first false conjunct
+  /// short-circuits the rest.
   void CompilePreds(const std::vector<const BoundExpr*>* preds);
 
-  /// True if the flattened program is in use (false = interpreter fallback).
-  bool compiled() const { return compiled_; }
+  /// Predicate evaluation; NULL is false. `aggs` holds the aggregate
+  /// results named at compile time (null when there are none).
+  Status EvalBool(ExecContext* ctx, const Row& row, bool* out,
+                  const std::vector<Value>* aggs = nullptr);
 
-  /// Predicate evaluation; NULL is false.
-  Status EvalBool(ExecContext* ctx, const Row& row, bool* out);
-
-  /// Vectorized predicate evaluation over a batch: `sel` holds candidate row
-  /// indices into `rows` on entry and is compacted in place to the indices
-  /// that pass. Single column-vs-constant / column-vs-column comparisons run
-  /// a branch-light fast path; everything else loops the compiled program
-  /// (or the interpreter fallback) per selected row.
-  Status EvalBoolBatch(ExecContext* ctx, const std::vector<Row>& rows,
-                       std::vector<uint32_t>* sel);
-
-  /// Value evaluation (SELECT items, aggregate arguments).
-  Status EvalValue(ExecContext* ctx, const Row& row, Value* out);
+  /// Value evaluation (SELECT items, aggregate arguments, SET expressions).
+  Status EvalValue(ExecContext* ctx, const Row& row, Value* out,
+                   const std::vector<Value>* aggs = nullptr);
 
  private:
   enum class Op : uint8_t {
@@ -71,6 +68,7 @@ class ExprProgram {
     kJumpIfTrue,      // pop v; if truthy(v): push true, jump to a
     kScalarSubquery,  // push the (cached, §6) scalar subquery result
     kInSubquery,      // pop v; membership in the subquery's sorted list
+    kPushAgg,         // push &aggs[a], the finished result of aggregate a
   };
 
   struct Step {
@@ -90,24 +88,24 @@ class ExprProgram {
     Value owned;
   };
 
-  bool Emit(const BoundExpr& e);
+  void Emit(const BoundExpr& e);
+  /// Appends a step; the reference is valid until the next append.
+  Step& EmitStep(Op op, uint32_t a = 0);
+  /// Evaluates the constant subtree `e` once by compiling and running it as
+  /// its own program. False if that fails (e.g. arithmetic on a string
+  /// literal); the caller then emits the steps so the error surfaces at run
+  /// time.
+  bool FoldConst(const BoundExpr& e, Value* out);
   uint32_t AddConst(Value v);
-  Status Run(ExecContext* ctx, const Row& row, const Value** top);
-  /// Classifies the finished program for EvalBoolBatch's fast paths.
-  void ClassifyForBatch();
+  /// Sizes the evaluation stack for the finished program.
+  void Finish();
+  Status Run(ExecContext* ctx, const Row& row, const std::vector<Value>* aggs,
+             const Value** top);
 
-  /// Batch fast-path shapes detected at compile time.
-  enum class BatchKind : uint8_t {
-    kGeneric,   // Loop Run() (or the interpreter) per row.
-    kAlwaysOn,  // Constant-true program (empty predicate list).
-    kColConst,  // row[a] cmp consts_[b]
-    kColCol,    // row[a] cmp row[b]
-  };
+  // Compile-time state.
+  bool fold_ = true;  // Off inside FoldConst's own sub-program.
+  const std::vector<const BoundExpr*>* agg_leaves_ = nullptr;
 
-  bool compiled_ = false;
-  BatchKind batch_kind_ = BatchKind::kGeneric;
-  const BoundExpr* fallback_expr_ = nullptr;
-  const std::vector<const BoundExpr*>* fallback_preds_ = nullptr;
   std::vector<Step> steps_;
   std::vector<Value> consts_;
   std::vector<std::vector<Value>> lists_;  // kInSortedConsts operands.

@@ -34,22 +34,19 @@ Status FillHashJoinTable(ExecContext* ctx, Operator* build,
                          size_t inner_width, HashJoinTable* table) {
   table->rows.clear();
   table->index.clear();
-  RowBatch batch;
-  bool has = true;
+  Row r;
   while (true) {
     RETURN_IF_ERROR(ctx->CheckInterrupts());
-    RETURN_IF_ERROR(build->NextBatch(&batch, &has));
+    bool has = false;
+    RETURN_IF_ERROR(build->Next(&r, &has));
     if (!has) break;
-    for (uint32_t idx : batch.sel) {
-      const Row& r = batch.rows[idx];
-      const Value& key = r[build_offset];
-      if (key.is_null()) continue;  // NULL keys never join.
-      uint32_t slot = static_cast<uint32_t>(table->rows.size());
-      table->rows.emplace_back(r.begin() + inner_offset,
-                               r.begin() + inner_offset + inner_width);
-      table->index[HashValue(key)].push_back(slot);
-      ++ctx->batch_counters().hash_build_rows;
-    }
+    const Value& key = r[build_offset];
+    if (key.is_null()) continue;  // NULL keys never join.
+    uint32_t slot = static_cast<uint32_t>(table->rows.size());
+    table->rows.emplace_back(r.begin() + inner_offset,
+                             r.begin() + inner_offset + inner_width);
+    table->index[HashValue(key)].push_back(slot);
+    ++ctx->counters().hash_build_rows;
   }
   return Status::OK();
 }
@@ -70,6 +67,7 @@ HashJoinOp::HashJoinOp(ExecContext* ctx, const BoundQueryBlock* block,
 }
 
 Status HashJoinOp::BuildTable() {
+  matches_ = nullptr;
   if (const HashJoinTable* shared = ctx_->SharedBuildFor(node_)) {
     table_ = shared;  // Pre-built serially by the exchange; read-only here.
     return Status::OK();
@@ -81,112 +79,59 @@ Status HashJoinOp::BuildTable() {
   return Status::OK();
 }
 
-void HashJoinOp::ResetProbeState() {
-  outer_batch_.Clear();
-  sel_pos_ = 0;
-  matches_ = nullptr;
-  match_pos_ = 0;
-  outer_done_ = false;
-  drain_.Clear();
-  drain_pos_ = 0;
-  drain_done_ = false;
-}
-
 Status HashJoinOp::Open() {
   RETURN_IF_ERROR(outer_->Open());
   if (build_ != nullptr) RETURN_IF_ERROR(build_->Open());
-  RETURN_IF_ERROR(BuildTable());
-  ResetProbeState();
-  return Status::OK();
+  return BuildTable();
 }
 
 Status HashJoinOp::Rebind(const Row* outer) {
   RETURN_IF_ERROR(outer_->Rebind(outer));
   if (build_ != nullptr) RETURN_IF_ERROR(build_->Rebind(outer));
-  RETURN_IF_ERROR(BuildTable());
-  ResetProbeState();
-  return Status::OK();
-}
-
-Status HashJoinOp::NextBatch(RowBatch* out, bool* has_batch) {
-  out->Clear();
-  out->EnsureCapacity();
-  while (out->filled < kBatchRows) {
-    if (matches_ != nullptr) {
-      if (match_pos_ >= matches_->size()) {
-        matches_ = nullptr;
-        ++sel_pos_;
-        continue;
-      }
-      RETURN_IF_ERROR(ctx_->CheckInterrupts());
-      const Row& orow = outer_batch_.rows[outer_batch_.sel[sel_pos_]];
-      const std::vector<Value>& slice =
-          table_->rows[(*matches_)[match_pos_++]];
-      // Bucket verification: hash collisions resolve here.
-      if (orow[probe_offset_].Compare(slice[build_offset_ - inner_offset_]) !=
-          0) {
-        continue;
-      }
-      Row& dst = out->rows[out->filled];
-      dst = orow;  // Composite: outer columns, then overwrite inner slice.
-      for (size_t j = 0; j < inner_width_; ++j) {
-        dst[inner_offset_ + j] = slice[j];
-      }
-      ++out->filled;
-      continue;
-    }
-    if (sel_pos_ >= outer_batch_.sel.size()) {
-      if (outer_done_) break;
-      bool has = false;
-      RETURN_IF_ERROR(outer_->NextBatch(&outer_batch_, &has));
-      if (!has) {
-        outer_done_ = true;
-        break;
-      }
-      sel_pos_ = 0;
-      ctx_->batch_counters().hash_probe_rows += outer_batch_.sel.size();
-      continue;
-    }
-    const Value& key = outer_batch_.rows[outer_batch_.sel[sel_pos_]]
-                                        [probe_offset_];
-    if (!key.is_null()) {
-      auto it = table_->index.find(HashValue(key));
-      if (it != table_->index.end()) {
-        matches_ = &it->second;
-        match_pos_ = 0;
-        continue;
-      }
-    }
-    ++sel_pos_;
-  }
-  out->SelectAll();
-  RETURN_IF_ERROR(residual_.EvalBoolBatch(ctx_, out->rows, &out->sel));
-  ExecContext::BatchCounters& bc = ctx_->batch_counters();
-  ++bc.batches;
-  bc.batch_rows_in += out->filled;
-  bc.batch_rows_out += out->sel.size();
-  *has_batch = out->filled > 0;
-  return Status::OK();
+  return BuildTable();
 }
 
 Status HashJoinOp::Next(Row* out, bool* has_row) {
-  while (drain_pos_ >= drain_.sel.size()) {
-    if (drain_done_) {
-      *has_row = false;
+  ExecContext::Counters& counters = ctx_->counters();
+  while (true) {
+    if (matches_ != nullptr && match_pos_ < matches_->size()) {
+      RETURN_IF_ERROR(ctx_->CheckInterrupts());
+      const std::vector<Value>& slice =
+          table_->rows[(*matches_)[match_pos_++]];
+      // Bucket verification: hash collisions resolve here.
+      if (composite_[probe_offset_].Compare(
+              slice[build_offset_ - inner_offset_]) != 0) {
+        continue;
+      }
+      for (size_t j = 0; j < inner_width_; ++j) {
+        composite_[inner_offset_ + j] = slice[j];
+      }
+      ++counters.batch_rows_in;
+      bool ok;
+      RETURN_IF_ERROR(residual_.EvalBool(ctx_, composite_, &ok));
+      if (!ok) continue;
+      ++counters.batch_rows_out;
+      *out = composite_;
+      *has_row = true;
       return Status::OK();
     }
-    bool has = false;
-    RETURN_IF_ERROR(NextBatch(&drain_, &has));
+    // Bucket exhausted: probe with the next outer row.
+    matches_ = nullptr;
+    bool has;
+    RETURN_IF_ERROR(outer_->Next(&composite_, &has));
     if (!has) {
-      drain_done_ = true;
       *has_row = false;
       return Status::OK();
     }
-    drain_pos_ = 0;
+    ++counters.hash_probe_rows;
+    const Value& key = composite_[probe_offset_];
+    if (key.is_null()) continue;
+    auto it = table_->index.find(HashValue(key));
+    if (it != table_->index.end()) {
+      matches_ = &it->second;
+      match_pos_ = 0;
+    }
   }
-  *out = drain_.rows[drain_.sel[drain_pos_++]];
-  *has_row = true;
-  return Status::OK();
 }
 
 void GroupTable::Reset(const PlanNode* node) {
@@ -267,14 +212,12 @@ HashGroupByOp::HashGroupByOp(ExecContext* ctx, const BoundQueryBlock* block,
 
 Status HashGroupByOp::BuildGroups() {
   table_.Reset(node_);
-  bool has = true;
   while (true) {
     RETURN_IF_ERROR(ctx_->CheckInterrupts());
-    RETURN_IF_ERROR(child_->NextBatch(&in_batch_, &has));
+    bool has = false;
+    RETURN_IF_ERROR(child_->Next(&in_, &has));
     if (!has) break;
-    for (uint32_t idx : in_batch_.sel) {
-      RETURN_IF_ERROR(table_.Accept(ctx_, in_batch_.rows[idx]));
-    }
+    RETURN_IF_ERROR(table_.Accept(ctx_, in_));
   }
   // Scalar aggregate over an empty input still yields one row (COUNT = 0,
   // others NULL) — unless HAVING rejects it. Never planned today (the
@@ -302,11 +245,10 @@ Status HashGroupByOp::Next(Row* out, bool* has_row) {
   const std::vector<GroupTable::Group>& groups = table_.groups();
   while (emit_idx_ < groups.size()) {
     const GroupTable::Group& g = groups[emit_idx_++];
-    ASSIGN_OR_RETURN(bool keep, table_.funcs().HavingPasses(ctx_, node_, g.rep,
-                                                            g.states));
-    if (!keep) continue;
+    bool keep;
     RETURN_IF_ERROR(
-        table_.funcs().EmitSelect(ctx_, node_, g.rep, g.states, out));
+        table_.funcs().EmitGroup(ctx_, g.rep, g.states, out, &keep));
+    if (!keep) continue;
     *has_row = true;
     return Status::OK();
   }

@@ -1,7 +1,7 @@
 // Hash-based join and grouping operators — the unordered counterparts of the
 // merge join and sorted-group aggregation. Both follow the classic
 // build/probe shape: materialize one input into an in-memory hash table,
-// then stream the other side against it batch at a time.
+// then pull the other side through it one row at a time.
 //
 // Hash keys: Value has no std::hash specialization (and the memcomparable
 // EncodeKey is unsuitable — Int(1) and Real(1.0) compare equal but encode
@@ -39,9 +39,9 @@ Status FillHashJoinTable(ExecContext* ctx, Operator* build,
 
 /// Equi join via build/probe hash table (PlanKind::kHashJoin). The right
 /// child (the build side, read exactly once) is materialized into a table
-/// keyed on its join column; the left child (the probe side) streams batches
-/// whose rows look up their matches. NULL join keys never match, on either
-/// side. Output order is arbitrary — the optimizer gives hash solutions no
+/// keyed on its join column; each row pulled from the left child (the probe
+/// side) looks up its matches. NULL join keys never match, on either side.
+/// Output order is arbitrary — the optimizer gives hash solutions no
 /// interesting order.
 class HashJoinOp : public Operator {
  public:
@@ -54,16 +54,15 @@ class HashJoinOp : public Operator {
   Status Open() override;
   Status Rebind(const Row* outer) override;
   Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override {
     outer_->Close();
     if (build_ != nullptr) build_->Close();
   }
 
  private:
-  /// Drains the build child into own_table_ (or adopts the shared table).
+  /// Drains the build child into own_table_ (or adopts the shared table),
+  /// and resets the probe state.
   Status BuildTable();
-  void ResetProbeState();
 
   ExecContext* ctx_;
   const BoundQueryBlock* block_;
@@ -80,17 +79,11 @@ class HashJoinOp : public Operator {
   HashJoinTable own_table_;
   const HashJoinTable* table_ = nullptr;  // own_table_ or the shared table.
 
-  // Probe state, persisted across NextBatch calls mid-outer-batch.
-  RowBatch outer_batch_;
-  size_t sel_pos_ = 0;  // Position in outer_batch_.sel.
-  const std::vector<uint32_t>* matches_ = nullptr;  // Current row's bucket.
+  // Probe state: the current outer row (inner slice overwritten per match)
+  // and the not-yet-visited rest of its bucket.
+  Row composite_;
+  const std::vector<uint32_t>* matches_ = nullptr;
   size_t match_pos_ = 0;
-  bool outer_done_ = false;
-
-  // Tuple-at-a-time bridge: Next() drains an internal batch.
-  RowBatch drain_;
-  size_t drain_pos_ = 0;
-  bool drain_done_ = false;
 };
 
 /// Hash-grouped aggregation state: groups in first-seen order plus the
@@ -156,7 +149,7 @@ class HashGroupByOp : public Operator {
   const PlanNode* node_;
   std::unique_ptr<Operator> child_;
   GroupTable table_;
-  RowBatch in_batch_;
+  Row in_;  // Reusable block-width input buffer.
   size_t emit_idx_ = 0;
 };
 

@@ -6,24 +6,6 @@
 
 namespace systemr {
 
-Status Operator::NextBatch(RowBatch* out, bool* has_batch) {
-  // Compatibility shim: fill a batch by pulling the tuple-at-a-time Next().
-  // Batch-native operators override this; everything else composes with
-  // batch consumers at the cost of one virtual call per row, same as the
-  // scalar executor paid.
-  out->Clear();
-  out->EnsureCapacity();
-  while (out->filled < kBatchRows) {
-    bool has = false;
-    RETURN_IF_ERROR(Next(&out->rows[out->filled], &has));
-    if (!has) break;
-    ++out->filled;
-  }
-  out->SelectAll();
-  *has_batch = out->filled > 0;
-  return Status::OK();
-}
-
 ScanOp::ScanOp(ExecContext* ctx, const BoundQueryBlock* block,
                const PlanNode* node, const Row* binding)
     : ctx_(ctx), block_(block), node_(node), binding_(binding) {
@@ -58,7 +40,7 @@ Status ScanOp::AdvanceMorsel(bool* got) {
     *got = false;
     return Status::OK();
   }
-  ++ctx_->batch_counters().parallel_morsels;
+  ++ctx_->counters().parallel_morsels;
   static_cast<SegmentScan*>(scan_.get())->SetPageRange(m.begin, m.end);
   *got = true;
   return scan_->Open();
@@ -69,8 +51,8 @@ Status ScanOp::OpenScan() {
   morsel_drained_ = false;
   bool got = false;
   // A drained dispenser (empty segment, or more workers than morsels) leaves
-  // the scan empty; Next/NextBatch observe morsel_drained_ before touching
-  // the unopened scan.
+  // the scan empty; Next observes morsel_drained_ before touching the
+  // unopened scan.
   return AdvanceMorsel(&got);
 }
 
@@ -183,9 +165,12 @@ Status ScanOp::Next(Row* out, bool* has_row) {
     for (size_t i = 0; i < n; ++i) {
       (*out)[offset_ + i] = std::move(base_[i]);
     }
+    ExecContext::Counters& counters = ctx_->counters();
+    ++counters.batch_rows_in;
     bool ok;
     RETURN_IF_ERROR(residual_.EvalBool(ctx_, *out, &ok));
     if (!ok) continue;
+    ++counters.batch_rows_out;
     last_tid_ = tid;
     ++rows_out_;
     *has_row = true;
@@ -193,47 +178,6 @@ Status ScanOp::Next(Row* out, bool* has_row) {
   }
   exhausted_ = true;
   *has_row = false;
-  return Status::OK();
-}
-
-Status ScanOp::NextBatch(RowBatch* out, bool* has_batch) {
-  out->Clear();
-  out->EnsureCapacity();
-  // One cancellation/budget point per batch: at most kBatchRows tuples of
-  // slack versus the per-tuple check of the scalar path.
-  RETURN_IF_ERROR(ctx_->CheckInterrupts());
-  size_t n = 0;
-  while (true) {
-    if (morsel_mode_ && morsel_drained_) break;
-    RETURN_IF_ERROR(scan_->NextBatch(&rsi_rows_, &rsi_tids_, kBatchRows, &n));
-    if (n > 0 || !morsel_mode_) break;
-    bool got = false;
-    RETURN_IF_ERROR(AdvanceMorsel(&got));
-  }
-  if (n == 0) {
-    exhausted_ = true;
-    *has_batch = false;
-    return Status::OK();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    Row& dst = out->rows[i];
-    if (dst.size() != block_->row_width) dst.resize(block_->row_width);
-    Row& src = rsi_rows_[i];
-    size_t limit = dst.size() > offset_ ? dst.size() - offset_ : 0;
-    size_t m = std::min(src.size(), limit);
-    for (size_t j = 0; j < m; ++j) {
-      dst[offset_ + j] = std::move(src[j]);
-    }
-  }
-  out->filled = n;
-  out->SelectAll();
-  RETURN_IF_ERROR(residual_.EvalBoolBatch(ctx_, out->rows, &out->sel));
-  ExecContext::BatchCounters& bc = ctx_->batch_counters();
-  ++bc.batches;
-  bc.batch_rows_in += out->filled;
-  bc.batch_rows_out += out->sel.size();
-  rows_out_ += out->sel.size();
-  *has_batch = true;
   return Status::OK();
 }
 
@@ -252,24 +196,16 @@ Status FilterOp::Next(Row* out, bool* has_row) {
       *has_row = false;
       return Status::OK();
     }
+    ExecContext::Counters& counters = ctx_->counters();
+    ++counters.batch_rows_in;
     bool ok;
     RETURN_IF_ERROR(residual_.EvalBool(ctx_, *out, &ok));
     if (ok) {
+      ++counters.batch_rows_out;
       *has_row = true;
       return Status::OK();
     }
   }
-}
-
-Status FilterOp::NextBatch(RowBatch* out, bool* has_batch) {
-  RETURN_IF_ERROR(child_->NextBatch(out, has_batch));
-  if (!*has_batch) return Status::OK();
-  size_t before = out->sel.size();
-  RETURN_IF_ERROR(residual_.EvalBoolBatch(ctx_, out->rows, &out->sel));
-  // The producer already counted these rows as surviving; retract the ones
-  // this filter killed so AvgSelectionDensity reflects final survivors.
-  ctx_->batch_counters().batch_rows_out -= before - out->sel.size();
-  return Status::OK();
 }
 
 ProjectOp::ProjectOp(ExecContext* ctx, const BoundQueryBlock* block,
@@ -296,28 +232,6 @@ Status ProjectOp::Next(Row* out, bool* has_row) {
     out->push_back(std::move(v));
   }
   *has_row = true;
-  return Status::OK();
-}
-
-Status ProjectOp::NextBatch(RowBatch* out, bool* has_batch) {
-  RETURN_IF_ERROR(child_->NextBatch(&in_batch_, has_batch));
-  if (!*has_batch) return Status::OK();
-  out->Clear();
-  out->EnsureCapacity();
-  size_t count = 0;
-  Value v;
-  for (uint32_t idx : in_batch_.sel) {
-    Row& dst = out->rows[count];
-    dst.clear();
-    dst.reserve(items_.size());
-    for (ExprProgram& item : items_) {
-      RETURN_IF_ERROR(item.EvalValue(ctx_, in_batch_.rows[idx], &v));
-      dst.push_back(std::move(v));
-    }
-    ++count;
-  }
-  out->filled = count;
-  out->SelectAll();
   return Status::OK();
 }
 

@@ -1,6 +1,8 @@
-// Pull-based physical operators (OPEN/NEXT/CLOSE), interpreting the plan
-// trees produced by the optimizer — our stand-in for System R's generated
-// machine code (§2).
+// Pull-based physical operators, interpreting the plan trees produced by
+// the optimizer — our stand-in for System R's generated machine code (§2).
+// Every operator speaks one protocol, the RSI's own (§3): Open, then Next
+// one row at a time until the stream ends, then Close. DESIGN.md §6 states
+// the contract in full.
 //
 // Hot-path contract: an operator tree is built ONCE per statement (or per
 // nested block) and re-opened with new outer bindings via Rebind(), so the
@@ -14,9 +16,7 @@
 
 #include <memory>
 
-#include "exec/batch.h"
 #include "exec/exec_context.h"
-#include "exec/expr_eval.h"
 #include "exec/expr_program.h"
 #include "optimizer/plan.h"
 
@@ -32,15 +32,9 @@ class Operator {
   /// current binding (correlated subqueries resolve outer references through
   /// the ExecContext ancestor stack instead).
   virtual Status Rebind(const Row* outer) = 0;
-  /// Produces the next row. Sets *has_row=false at end of stream.
+  /// Produces the next row into *out. Sets *has_row=false at end of stream.
+  /// `*out` may be a buffer the caller reuses from call to call.
   virtual Status Next(Row* out, bool* has_row) = 0;
-  /// Produces the next batch of rows. Sets *has_batch=false at end of
-  /// stream; a true *has_batch with an empty selection vector is legal (all
-  /// rows of the block were filtered out) — callers must keep pulling until
-  /// *has_batch is false. The base implementation bridges to Next(), so
-  /// tuple-only operators compose with batch-native consumers; a tree must
-  /// be driven either all-tuple or all-batch, never both interleaved.
-  virtual Status NextBatch(RowBatch* out, bool* has_batch);
   virtual void Close() {}
 };
 
@@ -55,6 +49,7 @@ std::unique_ptr<Operator> BuildOperator(ExecContext* ctx,
 /// and dynamic SARGs from `binding`, then residual single-table predicates.
 /// The underlying RSI scan object is created once; Open()/Rebind() re-derive
 /// the dynamic SARG values and index bounds in place and reset its position.
+/// Every candidate tuple is an interrupt point (ExecContext::CheckInterrupts).
 class ScanOp : public Operator {
  public:
   ScanOp(ExecContext* ctx, const BoundQueryBlock* block, const PlanNode* node,
@@ -63,10 +58,6 @@ class ScanOp : public Operator {
   Status Open() override;
   Status Rebind(const Row* outer) override;
   Status Next(Row* out, bool* has_row) override;
-  /// Batch-native scan: decodes a page's worth of tuples per RSI call via
-  /// RsiScan::NextBatch, then evaluates the residual over the whole block
-  /// with one selection-vector pass.
-  Status NextBatch(RowBatch* out, bool* has_batch) override;
   /// Flushes this scan's produced-row count into the context's per-node
   /// observations (the selectivity-feedback input).
   void Close() override;
@@ -95,8 +86,6 @@ class ScanOp : public Operator {
   size_t offset_ = 0;        // Block-row offset of this table's slice.
   size_t static_sargs_ = 0;  // Dynamic SARGs start at this index.
   Row base_;                 // Scratch tuple the RSI scan decodes into.
-  std::vector<Row> rsi_rows_;  // Batch decode buffers, reused across calls.
-  std::vector<Tid> rsi_tids_;
   Tid last_tid_;
   uint64_t rows_out_ = 0;    // Rows produced since the last Close() flush.
   bool exhausted_ = false;   // Reached end of stream at least once.
@@ -119,8 +108,6 @@ class FilterOp : public Operator {
   Status Open() override { return child_->Open(); }
   Status Rebind(const Row* outer) override { return child_->Rebind(outer); }
   Status Next(Row* out, bool* has_row) override;
-  /// Refines the child batch's selection vector in place — no row copies.
-  Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override { child_->Close(); }
 
  private:
@@ -139,8 +126,6 @@ class ProjectOp : public Operator {
   Status Open() override { return child_->Open(); }
   Status Rebind(const Row* outer) override { return child_->Rebind(outer); }
   Status Next(Row* out, bool* has_row) override;
-  /// Evaluates the select items only over the child's surviving rows.
-  Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override { child_->Close(); }
 
  private:
@@ -149,8 +134,7 @@ class ProjectOp : public Operator {
   const PlanNode* node_;
   std::unique_ptr<Operator> child_;
   std::vector<ExprProgram> items_;
-  Row in_;            // Reusable block-width input buffer.
-  RowBatch in_batch_;  // Reusable batch input buffer.
+  Row in_;  // Reusable block-width input buffer.
 };
 
 }  // namespace systemr

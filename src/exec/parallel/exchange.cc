@@ -26,7 +26,7 @@ void CollectHashJoins(const PlanNode* n, std::vector<const PlanNode*>* out) {
 }
 
 /// Everything one fragment worker owns: a private context (its own meter,
-/// batch counters, scan observations, subquery state) plus its output.
+/// execution counters, scan observations, subquery state) plus its output.
 struct WorkerState {
   WorkerState(Rss* rss, const Catalog* catalog, const SubplanMap* subplans,
               double w)
@@ -108,29 +108,20 @@ Status ExchangeOp::RunFragment() {
         if (op == nullptr) return Status::Internal("unbuildable fragment");
         if (partial_agg) ws->groups.Reset(node_);
         RETURN_IF_ERROR(op->Open());
-        RowBatch batch;
-        while (true) {
+        Row row;
+        Status st;
+        while (st.ok()) {
           bool has = false;
-          Status st = op->NextBatch(&batch, &has);
-          if (!st.ok()) {
-            op->Close();
-            return st;
-          }
-          if (!has) break;
-          for (uint32_t idx : batch.sel) {
-            if (partial_agg) {
-              Status ast = ws->groups.Accept(&ws->ctx, batch.rows[idx]);
-              if (!ast.ok()) {
-                op->Close();
-                return ast;
-              }
-            } else {
-              ws->rows.push_back(std::move(batch.rows[idx]));
-            }
+          st = op->Next(&row, &has);
+          if (!st.ok() || !has) break;
+          if (partial_agg) {
+            st = ws->groups.Accept(&ws->ctx, row);
+          } else {
+            ws->rows.push_back(std::move(row));
           }
         }
         op->Close();
-        return Status::OK();
+        return st;
       };
       ws->status = run();
       if (!ws->status.ok()) shared.RecordError(ws->status);
@@ -145,7 +136,7 @@ Status ExchangeOp::RunFragment() {
   // 4. Barrier merge — unconditionally, so the statement's stats cover the
   // partial work of an aborted fragment too.
   MeterCounters& pm = ctx_->meter();
-  ExecContext::BatchCounters& pb = ctx_->batch_counters();
+  ExecContext::Counters& pb = ctx_->counters();
   pb.parallel_workers += workers.size();
   bool all_ok = true;
   for (auto& w : workers) {
@@ -154,8 +145,7 @@ Status ExchangeOp::RunFragment() {
     pm.page_writes += wm.page_writes;
     pm.logical_gets += wm.logical_gets;
     pm.rsi_calls += wm.rsi_calls;
-    const ExecContext::BatchCounters& wb = w->ctx.batch_counters();
-    pb.batches += wb.batches;
+    const ExecContext::Counters& wb = w->ctx.counters();
     pb.batch_rows_in += wb.batch_rows_in;
     pb.batch_rows_out += wb.batch_rows_out;
     pb.hash_build_rows += wb.hash_build_rows;
@@ -196,13 +186,11 @@ Status ExchangeOp::RunFragment() {
     for (auto& w : workers) merged.MergeFrom(&w->groups);
     merged.EnsureScalarGroup(block_->row_width);
     for (const GroupTable::Group& g : merged.groups()) {
-      ASSIGN_OR_RETURN(bool keep, merged.funcs().HavingPasses(
-                                      ctx_, node_, g.rep, g.states));
-      if (!keep) continue;
       Row out;
+      bool keep;
       RETURN_IF_ERROR(
-          merged.funcs().EmitSelect(ctx_, node_, g.rep, g.states, &out));
-      rows_.push_back(std::move(out));
+          merged.funcs().EmitGroup(ctx_, g.rep, g.states, &out, &keep));
+      if (keep) rows_.push_back(std::move(out));
     }
   } else {
     size_t total = 0;
@@ -217,17 +205,6 @@ Status ExchangeOp::RunFragment() {
 }
 
 Status ExchangeOp::Open() { return RunFragment(); }
-
-Status ExchangeOp::NextBatch(RowBatch* out, bool* has_batch) {
-  out->Clear();
-  out->EnsureCapacity();
-  while (out->filled < kBatchRows && emit_pos_ < rows_.size()) {
-    out->rows[out->filled++] = std::move(rows_[emit_pos_++]);
-  }
-  out->SelectAll();
-  *has_batch = out->filled > 0;
-  return Status::OK();
-}
 
 Status ExchangeOp::Next(Row* out, bool* has_row) {
   if (emit_pos_ >= rows_.size()) {

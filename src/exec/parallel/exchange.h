@@ -8,7 +8,7 @@
 // per-worker group tables merged at the barrier — and emitted serially.
 //
 // Merge points (exactly-once guarantees): each worker's MeterCounters,
-// batch counters, and scan observations fold into the parent context at the
+// execution counters, and scan observations fold into the parent context at the
 // barrier, whether the fragment succeeded or not; the first worker error
 // wins and aborts the siblings cooperatively via SharedFragmentState.
 #ifndef SYSTEMR_EXEC_PARALLEL_EXCHANGE_H_
@@ -34,7 +34,6 @@ class ExchangeOp : public Operator {
   /// pass only runs on top-level plans), but re-running is correct.
   Status Rebind(const Row*) override { return Open(); }
   Status Next(Row* out, bool* has_row) override;
-  Status NextBatch(RowBatch* out, bool* has_batch) override;
   void Close() override {}
 
  private:

@@ -126,12 +126,11 @@ Status WriteFuzzReport(const FuzzReport& report, const std::string& path) {
   }
 
   uint64_t total_gets = 0, total_hits = 0;
-  uint64_t total_batches = 0, total_batch_in = 0, total_batch_out = 0;
+  uint64_t total_batch_in = 0, total_batch_out = 0;
   uint64_t total_hash_build = 0, total_hash_probe = 0;
   for (const CalibrationRecord& r : report.records) {
     total_gets += r.buffer_gets;
     total_hits += r.buffer_hits;
-    total_batches += r.batches;
     total_batch_in += r.batch_rows_in;
     total_batch_out += r.batch_rows_out;
     total_hash_build += r.hash_build_rows;
@@ -151,7 +150,6 @@ Status WriteFuzzReport(const FuzzReport& report, const std::string& path) {
          "\n";
   out += "  },\n";
   out += "  \"batch\": {\n";
-  out += "    \"batches\": " + std::to_string(total_batches) + ",\n";
   out += "    \"rows_in\": " + std::to_string(total_batch_in) + ",\n";
   out += "    \"rows_out\": " + std::to_string(total_batch_out) + ",\n";
   out += "    \"selection_density\": " +
@@ -208,7 +206,6 @@ Status WriteFuzzReport(const FuzzReport& report, const std::string& path) {
     out += ", \"actual_rows\": " + std::to_string(r.actual_rows);
     out += ", \"buffer_gets\": " + std::to_string(r.buffer_gets);
     out += ", \"buffer_hits\": " + std::to_string(r.buffer_hits);
-    out += ", \"batches\": " + std::to_string(r.batches);
     out += ", \"batch_rows_in\": " + std::to_string(r.batch_rows_in);
     out += ", \"batch_rows_out\": " + std::to_string(r.batch_rows_out);
     out += ", \"hash_build_rows\": " + std::to_string(r.hash_build_rows);

@@ -40,8 +40,7 @@ struct CalibrationRecord {
   uint64_t buffer_gets = 0;  // Buffer-pool requests during execution.
   uint64_t buffer_hits = 0;  // Requests served without a simulated fetch.
 
-  // Vectorized-execution counters (see ExecStats).
-  uint64_t batches = 0;
+  // Operator row counters (see ExecStats).
   uint64_t batch_rows_in = 0;
   uint64_t batch_rows_out = 0;
   uint64_t hash_build_rows = 0;

@@ -263,7 +263,6 @@ SeedResult RunFuzzSeed(uint64_t seed, const FuzzOptions& options,
       rec.actual_rows = dp->rows.size();
       rec.buffer_gets = dp->stats.buffer_gets;
       rec.buffer_hits = dp->stats.buffer_hits;
-      rec.batches = dp->stats.batches;
       rec.batch_rows_in = dp->stats.batch_rows_in;
       rec.batch_rows_out = dp->stats.batch_rows_out;
       rec.hash_build_rows = dp->stats.hash_build_rows;

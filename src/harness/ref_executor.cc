@@ -418,6 +418,27 @@ StatusOr<Value> RefExecutor::EvalWithAggs(const BoundExpr& e, const Row& rep,
       ASSIGN_OR_RETURN(Value a, EvalWithAggs(*e.children[0], rep, accs));
       return BoolValue(a.is_null() || a.AsInt() == 0);
     }
+    case BoundExprKind::kInList: {
+      ASSIGN_OR_RETURN(Value v, EvalWithAggs(*e.children[0], rep, accs));
+      for (size_t i = 1; i < e.children.size(); ++i) {
+        ASSIGN_OR_RETURN(Value item, EvalWithAggs(*e.children[i], rep, accs));
+        if (RefCompare(CompareOp::kEq, v, item)) return BoolValue(true);
+      }
+      return BoolValue(false);
+    }
+    case BoundExprKind::kIsNull: {
+      ASSIGN_OR_RETURN(Value v, EvalWithAggs(*e.children[0], rep, accs));
+      return BoolValue(e.negated ? !v.is_null() : v.is_null());
+    }
+    case BoundExprKind::kLike: {
+      ASSIGN_OR_RETURN(Value subject,
+                       EvalWithAggs(*e.children[0], rep, accs));
+      ASSIGN_OR_RETURN(Value pattern,
+                       EvalWithAggs(*e.children[1], rep, accs));
+      if (subject.is_null() || pattern.is_null()) return BoolValue(false);
+      bool match = RefLikeMatch(subject.AsStr(), pattern.AsStr(), 0, 0);
+      return BoolValue(e.negated ? !match : match);
+    }
     default:
       return Status::Internal("unsupported expression over aggregate results");
   }

@@ -15,27 +15,21 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
 
 Status SegmentScan::Open() {
   page_idx_ = range_begin_;
-  slot_ = 0;
   at_end_ = page_idx_ >= PageLimit();
+  buf_len_ = buf_pos_ = 0;
   return Status::OK();
 }
 
-Status SegmentScan::Next(Row* row, Tid* tid, bool* has_row) {
-  *has_row = false;
-  while (!at_end_) {
-    PageId pid = segment_->pages()[page_idx_];
-    ASSIGN_OR_RETURN(Page * page, pool_->Fetch(pid));
-    SlottedPage sp(page);
-    if (slot_ == 0 && !sp.ValidateHeader()) {
-      return Status::DataLoss("corrupt slotted page " + std::to_string(pid));
-    }
-    if (slot_ >= sp.slot_count()) {
-      ++page_idx_;
-      slot_ = 0;
-      if (page_idx_ >= PageLimit()) at_end_ = true;
-      continue;
-    }
-    uint16_t slot = slot_++;
+Status SegmentScan::DecodePage() {
+  buf_len_ = buf_pos_ = 0;
+  size_t n = 0;  // Published to buf_len_ only once the page decoded cleanly.
+  PageId pid = segment_->pages()[page_idx_];
+  ASSIGN_OR_RETURN(Page * page, pool_->Fetch(pid));
+  SlottedPage sp(page);
+  if (!sp.ValidateHeader()) {
+    return Status::DataLoss("corrupt slotted page " + std::to_string(pid));
+  }
+  for (uint16_t slot = 0; slot < sp.slot_count(); ++slot) {
     std::string_view record;
     switch (sp.ReadSlot(slot, &record)) {
       case SlotState::kEmpty:
@@ -52,88 +46,37 @@ Status SegmentScan::Next(Row* row, Tid* tid, bool* has_row) {
                               std::to_string(pid));
     }
     if (rel != relid_) continue;  // Tuple of a co-located relation.
-    // Decode straight into the caller's buffer — no per-tuple Row.
+    if (n == buf_rows_.size()) {
+      buf_rows_.emplace_back();
+      buf_tids_.emplace_back();
+    }
+    Row* row = &buf_rows_[n];
     if (!DecodeTuple(record, &rel, row)) {
       return Status::DataLoss("undecodable tuple on page " +
                               std::to_string(pid));
     }
     if (!MatchesAll(sargs_, *row)) continue;
-    if (tid != nullptr) *tid = Tid{pid, slot};
-    counters_->rsi_calls.fetch_add(1, std::memory_order_relaxed);
-    if (MeterCounters* m = CurrentMeter()) ++m->rsi_calls;
-    *has_row = true;
-    return Status::OK();
+    buf_tids_[n++] = Tid{pid, slot};
   }
+  buf_len_ = n;
+  if (++page_idx_ >= PageLimit()) at_end_ = true;
   return Status::OK();
 }
 
-Status RsiScan::NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
-                          size_t max_rows, size_t* n) {
-  if (rows->size() < max_rows) rows->resize(max_rows);
-  if (tids->size() < max_rows) tids->resize(max_rows);
-  size_t count = 0;
-  while (count < max_rows) {
-    bool has = false;
-    RETURN_IF_ERROR(Next(&(*rows)[count], &(*tids)[count], &has));
-    if (!has) break;
-    ++count;
+Status SegmentScan::Next(Row* row, Tid* tid, bool* has_row) {
+  *has_row = false;
+  while (buf_pos_ == buf_len_) {
+    if (at_end_) return Status::OK();
+    RETURN_IF_ERROR(DecodePage());
   }
-  *n = count;
-  return Status::OK();
-}
-
-Status SegmentScan::NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
-                              size_t max_rows, size_t* n) {
-  if (rows->size() < max_rows) rows->resize(max_rows);
-  if (tids->size() < max_rows) tids->resize(max_rows);
-  MeterCounters* meter = CurrentMeter();
-  size_t count = 0;
-  while (!at_end_ && count < max_rows) {
-    PageId pid = segment_->pages()[page_idx_];
-    ASSIGN_OR_RETURN(Page * page, pool_->Fetch(pid));
-    SlottedPage sp(page);
-    if (slot_ == 0 && !sp.ValidateHeader()) {
-      return Status::DataLoss("corrupt slotted page " + std::to_string(pid));
-    }
-    // Decode every remaining slot of this page under the one buffer get
-    // above — the batched scan pays one logical get per page visit where
-    // the tuple-at-a-time path pays one per delivered tuple.
-    while (slot_ < sp.slot_count() && count < max_rows) {
-      uint16_t slot = slot_++;
-      std::string_view record;
-      switch (sp.ReadSlot(slot, &record)) {
-        case SlotState::kEmpty:
-          continue;  // Tombstone.
-        case SlotState::kCorrupt:
-          return Status::DataLoss("corrupt slot directory on page " +
-                                  std::to_string(pid));
-        case SlotState::kLive:
-          break;
-      }
-      RelId rel;
-      if (!DecodeRelId(record, &rel)) {
-        return Status::DataLoss("undecodable record on page " +
-                                std::to_string(pid));
-      }
-      if (rel != relid_) continue;  // Tuple of a co-located relation.
-      Row* row = &(*rows)[count];
-      if (!DecodeTuple(record, &rel, row)) {
-        return Status::DataLoss("undecodable tuple on page " +
-                                std::to_string(pid));
-      }
-      if (!MatchesAll(sargs_, *row)) continue;
-      (*tids)[count] = Tid{pid, slot};
-      counters_->rsi_calls.fetch_add(1, std::memory_order_relaxed);
-      if (meter != nullptr) ++meter->rsi_calls;
-      ++count;
-    }
-    if (slot_ >= sp.slot_count()) {
-      ++page_idx_;
-      slot_ = 0;
-      if (page_idx_ >= PageLimit()) at_end_ = true;
-    }
-  }
-  *n = count;
+  // Swap rather than copy: the caller's old buffer becomes the decode
+  // target for a later page.
+  row->swap(buf_rows_[buf_pos_]);
+  if (tid != nullptr) *tid = buf_tids_[buf_pos_];
+  ++buf_pos_;
+  counters_->rsi_calls.fetch_add(1, std::memory_order_relaxed);
+  if (MeterCounters* m = CurrentMeter()) ++m->rsi_calls;
+  *has_row = true;
   return Status::OK();
 }
 

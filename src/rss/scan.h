@@ -57,15 +57,6 @@ class RsiScan {
   /// deleted) is skipped silently.
   virtual Status Next(Row* row, Tid* tid, bool* has_row) = 0;
 
-  /// Batch variant: decodes up to `max_rows` qualifying tuples into
-  /// rows[0..*n) (resizing `rows`/`tids` as needed). The default bridges to
-  /// Next(); SegmentScan overrides it with page-at-a-time decoding, so a
-  /// batched segment scan pays one buffer get per page visited instead of
-  /// one per tuple delivered. RSI-call metering is per delivered tuple
-  /// either way.
-  virtual Status NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
-                           size_t max_rows, size_t* n);
-
   /// Mutable view of the scan's SARGs, so dynamically-bound terms (§5 join
   /// SARGs) can be updated in place between re-Opens instead of rebuilding
   /// the scan.
@@ -74,6 +65,11 @@ class RsiScan {
   virtual void Close() = 0;
 };
 
+/// Segment scan with a page buffer: when its buffer is empty, Next decodes
+/// every qualifying tuple of the next page under one buffer get, then hands
+/// them out one per call. A scan therefore pays one buffer get per page
+/// visited, and an RSI call is metered only when a tuple is delivered — a
+/// consumer that stops early pays for exactly the tuples it took.
 class SegmentScan : public RsiScan {
  public:
   SegmentScan(BufferPool* pool, const Segment* segment, RelId relid,
@@ -86,18 +82,17 @@ class SegmentScan : public RsiScan {
 
   Status Open() override;
   Status Next(Row* row, Tid* tid, bool* has_row) override;
-  Status NextBatch(std::vector<Row>* rows, std::vector<Tid>* tids,
-                   size_t max_rows, size_t* n) override;
   SargList* mutable_sargs() override { return &sargs_; }
   void Close() override {}
 
   /// Restricts the scan to segment pages [begin, end) — the morsel contract
   /// for parallel execution. The range persists across re-Opens (Open resets
   /// the position to `begin`); `end` is clamped to the segment size. The
-  /// default range covers the whole segment.
+  /// default range covers the whole segment. Drops any buffered tuples.
   void SetPageRange(size_t begin, size_t end) {
     range_begin_ = begin;
     range_end_ = end;
+    buf_len_ = buf_pos_ = 0;
   }
 
  private:
@@ -105,6 +100,8 @@ class SegmentScan : public RsiScan {
     return range_end_ < segment_->pages().size() ? range_end_
                                                  : segment_->pages().size();
   }
+  /// Refills the page buffer from page `page_idx_` and advances past it.
+  Status DecodePage();
 
   BufferPool* pool_;
   const Segment* segment_;
@@ -112,11 +109,18 @@ class SegmentScan : public RsiScan {
   SargList sargs_;
   RssCounters* counters_;
 
-  size_t page_idx_ = 0;
-  uint16_t slot_ = 0;
-  bool at_end_ = false;
+  size_t page_idx_ = 0;  // Next page to decode.
+  bool at_end_ = false;  // No page left to decode.
   size_t range_begin_ = 0;
   size_t range_end_ = SIZE_MAX;  // Exclusive; SIZE_MAX = whole segment.
+
+  // Page buffer: buf_rows_[buf_pos_..buf_len_) are the decoded, qualifying
+  // tuples of the last page not yet delivered. Rows are swapped out to the
+  // caller, so their storage is reused from page to page.
+  std::vector<Row> buf_rows_;
+  std::vector<Tid> buf_tids_;
+  size_t buf_len_ = 0;
+  size_t buf_pos_ = 0;
 };
 
 /// Key range for an index scan. Bounds are user-key encodings (possibly a

@@ -98,6 +98,70 @@ TEST(FuzzSmokeTest, CorrelatedSubqueriesAndMultiwayJoinsMatchReference) {
   }
 }
 
+// Expressions over aggregate results — IN-list, IS [NOT] NULL, [NOT] LIKE,
+// BETWEEN and NOT in HAVING, arithmetic in HAVING and SELECT — checked
+// multiset-identical against the reference executor. Each query runs through
+// the sorted-group operator, the hash-group operator and a forced parallel
+// partial aggregation. Group A=0 has only NULL B values, so SUM(B) IS NULL
+// holds there; group A=k has k+1 rows.
+TEST(FuzzSmokeTest, ExpressionsOverAggregatesMatchReference) {
+  const char* kQueries[] = {
+      "SELECT A, COUNT(*) FROM T GROUP BY A HAVING COUNT(*) IN (1, 5)",
+      "SELECT A, SUM(B) FROM T GROUP BY A HAVING SUM(B) IS NULL",
+      "SELECT A FROM T GROUP BY A HAVING SUM(B) IS NOT NULL",
+      "SELECT A, MIN(S) FROM T GROUP BY A HAVING MIN(S) LIKE 'b%'",
+      "SELECT A FROM T GROUP BY A HAVING MAX(S) NOT LIKE '%e%'",
+      "SELECT A FROM T GROUP BY A HAVING SUM(B) IN (5, 30, 31)",
+      "SELECT A, SUM(B) * 2 + COUNT(*) FROM T GROUP BY A "
+      "HAVING COUNT(*) BETWEEN 2 AND 4",
+      "SELECT A, MAX(B) - MIN(B) FROM T GROUP BY A "
+      "HAVING NOT (COUNT(*) > 3 OR SUM(B) IS NULL)",
+      "SELECT A, SUM(B) / COUNT(*), MAX(B) * 2 FROM T GROUP BY A "
+      "HAVING MIN(S) NOT LIKE 'c%' AND COUNT(*) IN (2, 3, 4)",
+      "SELECT COUNT(*), SUM(B) FROM T HAVING COUNT(*) IN (15, 16)",
+  };
+  const struct {
+    const char* name;
+    JoinMethodForce force;
+    bool parallel;
+  } kVariants[] = {
+      {"sorted", JoinMethodForce::kMerge, false},
+      {"hash", JoinMethodForce::kHash, false},
+      {"parallel", JoinMethodForce::kHash, true},
+  };
+  Database db(64);
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (A INT, B INT, S STRING)").ok());
+  const char* kWords[] = {"apple", "banana", "cherry", "bob", "plum"};
+  for (int a = 0; a < 5; ++a) {
+    for (int i = 0; i <= a; ++i) {
+      std::string b = a == 0 ? "NULL" : std::to_string(a * 3 - i);
+      std::string sql = "INSERT INTO T VALUES (" + std::to_string(a) + ", " +
+                        b + ", '" + kWords[(a + i) % 5] + "')";
+      ASSERT_TRUE(db.Execute(sql).ok()) << sql;
+    }
+  }
+  ASSERT_TRUE(db.Execute("UPDATE STATISTICS T").ok());
+  RefExecutor ref(&db.rss().store(), RelPageMap(&db));
+  for (const auto& v : kVariants) {
+    db.options().join.force = v.force;
+    for (const char* sql : kQueries) {
+      auto prepared = v.parallel ? db.Prepare(sql, 4, true) : db.Prepare(sql);
+      ASSERT_TRUE(prepared.ok())
+          << sql << "\n" << prepared.status().ToString();
+      auto ref_rows = ref.Execute(*prepared->block);
+      ASSERT_TRUE(ref_rows.ok())
+          << sql << "\n" << ref_rows.status().ToString();
+      auto result = db.Run(*prepared);
+      ASSERT_TRUE(result.ok())
+          << v.name << " " << sql << "\n" << result.status().ToString();
+      EXPECT_TRUE(SameRowMultiset(*ref_rows, result->rows))
+          << v.name << " sql=[" << sql << "] "
+          << DiffSummary(*ref_rows, result->rows);
+      EXPECT_FALSE(result->rows.empty()) << v.name << " " << sql;
+    }
+  }
+}
+
 // Targeted hash-join differential run: 200 seeds with every multi-table
 // query forced through the hash join wherever an equi predicate allows
 // (non-equi joins keep nested loop — forcing must never lose DP
