@@ -19,6 +19,43 @@ std::string IntKey(int64_t v) {
   return k;
 }
 
+// Everything a reader can see of a tree: the full scan as (user key, TID)
+// pairs, and ContainsKey for every key in [lo, hi]. Built from the decoded-
+// node cache; comparing it before and after DropNodeCaches() proves every
+// in-place node edit reached its page.
+struct TreeView {
+  std::vector<std::pair<std::string, uint64_t>> scan;
+  std::vector<bool> contains;
+  bool operator==(const TreeView& o) const {
+    return scan == o.scan && contains == o.contains;
+  }
+};
+
+TreeView ViewOf(const BTree& tree, int64_t lo, int64_t hi) {
+  TreeView view;
+  BTree::Cursor c = tree.NewCursor();
+  EXPECT_TRUE(c.SeekToFirst().ok());
+  while (c.Valid()) {
+    view.scan.emplace_back(c.user_key(), c.tid().Pack());
+    EXPECT_TRUE(c.Next().ok());
+  }
+  for (int64_t k = lo; k <= hi; ++k) {
+    StatusOr<bool> has = tree.ContainsKey(IntKey(k));
+    EXPECT_TRUE(has.ok());
+    view.contains.push_back(has.ok() && *has);
+  }
+  return view;
+}
+
+// The cached view must equal the view re-decoded from page bytes.
+void ExpectPagesMatchCache(const BTree& tree, int64_t lo, int64_t hi) {
+  TreeView cached = ViewOf(tree, lo, hi);
+  tree.DropNodeCaches();
+  TreeView decoded = ViewOf(tree, lo, hi);
+  EXPECT_EQ(cached.scan.size(), decoded.scan.size());
+  EXPECT_TRUE(cached == decoded) << "a node edit did not reach its page";
+}
+
 class BTreeTest : public ::testing::Test {
  protected:
   BTreeTest() : pool_(&store_, 1024) {}
@@ -177,6 +214,7 @@ TEST_P(BTreePropertyTest, MatchesSortedReference) {
     cursor.Next();
   }
   EXPECT_EQ(got, expect);
+  ExpectPagesMatchCache(tree, -1, n / 2 + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BTreePropertyTest,
@@ -239,6 +277,7 @@ TEST_P(BTreeDeleteFuzzTest, MatchesMultisetReference) {
     seen.emplace(v.AsInt(), cursor.tid().page);
   }
   EXPECT_EQ(seen, reference);
+  ExpectPagesMatchCache(tree, -1, 201);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeDeleteFuzzTest,

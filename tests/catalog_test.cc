@@ -231,5 +231,132 @@ TEST_F(CatalogTest, IndexScanRangeBounds) {
             ref_count([](int64_t v) { return v >= 95; }));
 }
 
+// --- Index shape ---
+// NINDX feeds every index-access cost formula (§4), so the page layout that
+// CREATE INDEX and later inserts produce is pinned: a change to the B-tree's
+// write path that moved a split, reordered page allocation or changed the
+// build's insertion order would move these figures, and with them estimated
+// costs and plans.
+
+struct Shape {
+  size_t num_pages;
+  size_t num_leaf_pages;
+  int height;
+  bool operator==(const Shape& o) const {
+    return num_pages == o.num_pages && num_leaf_pages == o.num_leaf_pages &&
+           height == o.height;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Shape& s) {
+  return os << "{" << s.num_pages << ", " << s.num_leaf_pages << ", "
+            << s.height << "}";
+}
+
+class IndexShapeTest : public CatalogTest {
+ protected:
+  Shape ShapeOf(const IndexInfo* info) {
+    const BTree* tree = rss_.index(info->id);
+    EXPECT_EQ(info->nindx, tree->num_pages()) << "NINDX is the page count";
+    return {tree->num_pages(), tree->num_leaf_pages(), tree->height()};
+  }
+
+  // FNV-1a over every page of the store, in page-id order: heap and index
+  // pages alike, so an index that is the same tree page for page hashes the
+  // same.
+  uint64_t StoreHash() {
+    uint64_t h = 1469598103934665603ull;
+    PageStore& store = rss_.store();
+    for (PageId pid = 0; pid < store.num_pages(); ++pid) {
+      const Page* page = store.Get(pid);
+      if (page == nullptr) continue;
+      for (char b : page->bytes) {
+        h = (h ^ static_cast<uint8_t>(b)) * 1099511628211ull;
+      }
+    }
+    return h;
+  }
+
+  // Every entry of `info`'s index, in key order, as (user key, TID).
+  std::vector<std::pair<std::string, uint64_t>> Entries(const IndexInfo* info) {
+    std::vector<std::pair<std::string, uint64_t>> out;
+    BTree::Cursor c = rss_.index(info->id)->NewCursor();
+    EXPECT_TRUE(c.SeekToFirst().ok());
+    while (c.Valid()) {
+      out.emplace_back(c.user_key(), c.tid().Pack());
+      EXPECT_TRUE(c.Next().ok());
+    }
+    return out;
+  }
+};
+
+TEST_F(IndexShapeTest, AscendingUniqueInts) {
+  ASSERT_TRUE(catalog_.CreateTable("T", Schema({{"A", ValueType::kInt64},
+                                                {"B", ValueType::kInt64}}))
+                  .ok());
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(catalog_.Insert("T", {Value::Int(i), Value::Int(i % 7)}).ok());
+  }
+  auto idx = catalog_.CreateIndex("T_A", "T", {"A"}, /*unique=*/true, false);
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ(ShapeOf(*idx), (Shape{266, 263, 3}));
+  EXPECT_EQ(Entries(*idx).size(), 20000u);
+  EXPECT_EQ(StoreHash(), 18344136168940258957ull);
+}
+
+TEST_F(IndexShapeTest, RandomOrderForeignKeyThenInserts) {
+  ASSERT_TRUE(catalog_.CreateTable("T", Schema({{"ID", ValueType::kInt64},
+                                                {"FK", ValueType::kInt64}}))
+                  .ok());
+  std::vector<int> ids(3000);
+  for (int i = 0; i < 3000; ++i) ids[i] = i;
+  Rng rng(7);
+  for (size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1], ids[rng.Uniform(0, i - 1)]);
+  }
+  for (int id : ids) {
+    ASSERT_TRUE(
+        catalog_.Insert("T", {Value::Int(id), Value::Int(rng.Uniform(0, 149))})
+            .ok());
+  }
+  auto idx = catalog_.CreateIndex("T_FK", "T", {"FK"}, false, false);
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ(ShapeOf(*idx), (Shape{32, 31, 2}));
+  EXPECT_EQ((*idx)->icard, 150u);
+  // Incremental maintenance splits pages too: pin the shape after inserts.
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(catalog_
+                    .Insert("T", {Value::Int(3000 + i),
+                                  Value::Int(rng.Uniform(0, 149))})
+                    .ok());
+  }
+  // NINDX itself stays stale until UPDATE STATISTICS; read the tree.
+  const BTree* tree = rss_.index((*idx)->id);
+  EXPECT_EQ((Shape{tree->num_pages(), tree->num_leaf_pages(), tree->height()}),
+            (Shape{52, 51, 2}));
+  EXPECT_EQ(Entries(*idx).size(), 5000u);
+  EXPECT_EQ(StoreHash(), 11794444826321189150ull);
+}
+
+TEST_F(IndexShapeTest, StringKeys) {
+  ASSERT_TRUE(catalog_.CreateTable("T", Schema({{"ID", ValueType::kInt64},
+                                                {"S", ValueType::kString}}))
+                  .ok());
+  Rng rng(11);
+  for (int i = 0; i < 4000; ++i) {
+    // Variable-length keys with shared prefixes and duplicates.
+    std::string s = "CUSTOMER-" + std::to_string(rng.Uniform(0, 2999)) +
+                    rng.RandomString(static_cast<size_t>(rng.Uniform(0, 12)));
+    ASSERT_TRUE(catalog_.Insert("T", {Value::Int(i), Value::Str(s)}).ok());
+  }
+  auto idx = catalog_.CreateIndex("T_S", "T", {"S"}, false, false);
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ(ShapeOf(*idx), (Shape{61, 60, 2}));
+  std::vector<std::pair<std::string, uint64_t>> entries = Entries(*idx);
+  EXPECT_EQ(entries.size(), 4000u);
+  EXPECT_TRUE(std::is_sorted(entries.begin(), entries.end()));
+  EXPECT_EQ(StoreHash(), 17027410055146294921ull);
+}
+
 }  // namespace
 }  // namespace systemr
