@@ -8,8 +8,6 @@ namespace systemr {
 
 namespace {
 
-constexpr size_t kNodeHeader = 1 + 2 + 4;  // is_leaf, count, next.
-
 std::string MakeStoredKey(const std::string& user_key, Tid tid) {
   std::string stored = user_key;
   uint64_t packed = tid.Pack();
@@ -17,6 +15,12 @@ std::string MakeStoredKey(const std::string& user_key, Tid tid) {
     stored.push_back(static_cast<char>((packed >> (8 * i)) & 0xff));
   }
   return stored;
+}
+
+// Encoded bytes of one entry: key length, key, then the TID (leaf) or the
+// right child's page id (internal).
+size_t EntryBytes(bool leaf, const std::string& key) {
+  return 2 + key.size() + (leaf ? 8 : 4);
 }
 
 uint64_t ReadU64(const char* p) {
@@ -35,24 +39,19 @@ Status NodeCorrupt(PageId pid, const char* what) {
 }  // namespace
 
 size_t BTree::Node::SerializedSize() const {
-  size_t size = kNodeHeader;
-  if (is_leaf) {
-    for (size_t i = 0; i < keys.size(); ++i) size += 2 + keys[i].size() + 8;
-  } else {
-    size += 4;  // Leftmost child.
-    for (size_t i = 0; i < keys.size(); ++i) size += 2 + keys[i].size() + 4;
-  }
+  size_t size = Node::kHeaderBytes;
+  if (!is_leaf) size += 4;  // Leftmost child.
+  for (const std::string& key : keys) size += EntryBytes(is_leaf, key);
   return size;
 }
 
 BTree::BTree(BufferPool* pool, IndexId id, bool unique)
     : pool_(pool), id_(id), unique_(unique) {
   root_ = AllocNode(/*leaf=*/true);
-  Node empty;
-  // The fresh root is resident (NewPage pins it), so this write cannot fail.
-  Status st = WriteNode(root_, empty);
-  assert(st.ok());
-  (void)st;
+  // The fresh root is resident (NewPage pins it), so this fetch cannot fail.
+  StatusOr<Page*> page = pool_->FetchMut(root_);
+  assert(page.ok());
+  Encode(node_cache_[root_], *page);
 }
 
 PageId BTree::AllocNode(bool leaf) {
@@ -62,7 +61,7 @@ PageId BTree::AllocNode(bool leaf) {
   return pid;
 }
 
-StatusOr<const BTree::Node*> BTree::GetNode(PageId pid) const {
+StatusOr<BTree::Node*> BTree::GetNode(PageId pid) const {
   // The fetch is issued unconditionally so metering (buffer gets, simulated
   // page fetches, LRU state) is identical whether or not the decoded form is
   // cached; the cache only skips re-deserialization. Fetch failures (I/O
@@ -70,7 +69,7 @@ StatusOr<const BTree::Node*> BTree::GetNode(PageId pid) const {
   // simulated disk read did fail.
   ASSIGN_OR_RETURN(const Page* page, pool_->Fetch(pid));
   auto [it, inserted] = node_cache_.try_emplace(pid);
-  if (!inserted) return const_cast<const Node*>(&it->second);
+  if (!inserted) return &it->second;
 
   Node* node = &it->second;
   const char* p = page->bytes.data();
@@ -93,7 +92,7 @@ StatusOr<const BTree::Node*> BTree::GetNode(PageId pid) const {
       node->next >= num_store_pages) {
     return reject("leaf chain points past the store");
   }
-  size_t pos = kNodeHeader;
+  size_t pos = Node::kHeaderBytes;
   if (!node->is_leaf) {
     if (pos + 4 > kPageSize) return reject("truncated leftmost child");
     PageId child;
@@ -131,25 +130,19 @@ StatusOr<const BTree::Node*> BTree::GetNode(PageId pid) const {
       node->children.push_back(child);
     }
   }
-  return const_cast<const Node*>(node);
+  node->bytes = pos;
+  return node;
 }
 
-Status BTree::WriteNode(PageId pid, const Node& node) {
-  assert(node.SerializedSize() <= kPageSize);
-  // Keep the decoded cache coherent (updated in place: stable addresses).
-  auto it = node_cache_.find(pid);
-  if (it == node_cache_.end()) {
-    node_cache_.emplace(pid, node);
-  } else if (&it->second != &node) {
-    it->second = node;
-  }
-  ASSIGN_OR_RETURN(Page * page, pool_->FetchMut(pid));
+void BTree::Encode(const Node& node, Page* page) {
+  assert(node.bytes == node.SerializedSize());
+  assert(node.bytes <= kPageSize);
   char* p = page->bytes.data();
   p[0] = node.is_leaf ? 1 : 0;
   uint16_t count = static_cast<uint16_t>(node.keys.size());
   std::memcpy(p + 1, &count, 2);
   std::memcpy(p + 3, &node.next, 4);
-  size_t pos = kNodeHeader;
+  size_t pos = Node::kHeaderBytes;
   if (!node.is_leaf) {
     std::memcpy(p + pos, &node.children[0], 4);
     pos += 4;
@@ -168,7 +161,6 @@ Status BTree::WriteNode(PageId pid, const Node& node) {
       pos += 4;
     }
   }
-  return Status::OK();
 }
 
 Status BTree::Insert(const std::string& user_key, Tid tid) {
@@ -180,90 +172,156 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
   if (stored.size() + 32 > kPageSize / 4) {
     return Status::InvalidArgument("index key too large");
   }
-  ASSIGN_OR_RETURN(std::optional<SplitResult> split,
-                   InsertRec(root_, stored, tid.Pack()));
-  if (split.has_value()) {
-    // Grow a new root.
-    Node new_root;
-    new_root.is_leaf = false;
-    new_root.children.push_back(root_);
-    new_root.keys.push_back(split->separator);
-    new_root.children.push_back(split->right);
-    PageId pid = AllocNode(/*leaf=*/false);
-    RETURN_IF_ERROR(WriteNode(pid, new_root));
-    root_ = pid;
+
+  // Descend, remembering each node on the path and where the entry goes.
+  struct Step {
+    PageId pid;
+    Node* node;
+    size_t idx;  // Insert position of the entry this node may gain.
+  };
+  std::vector<Step> path;  // Root first.
+  for (PageId pid = root_;;) {
+    // Bounded like FindLeaf: a corrupt child loop must neither spin nor put
+    // one node on the path twice.
+    if (static_cast<int>(path.size()) == height_) {
+      return Status::DataLoss("B-tree insert descent exceeded height " +
+                              std::to_string(height_));
+    }
+    ASSIGN_OR_RETURN(Node* node, GetNode(pid));
+    auto it = std::upper_bound(node->keys.begin(), node->keys.end(), stored);
+    path.push_back({pid, node, static_cast<size_t>(it - node->keys.begin())});
+    if (node->is_leaf) break;
+    pid = node->children[path.back().idx];
+  }
+
+  // Plan bottom-up which nodes split, allocate each right sibling and fetch
+  // every page this insert writes before any node is edited, so a failed
+  // fetch leaves the tree as it was. The pages are allocated and fetched in
+  // the order the edits use them, so page ids and buffer state match a
+  // level-by-level write.
+  struct Write {
+    Page* page = nullptr;
+    PageId right = kInvalidPage;  // Fresh sibling if the node splits.
+    Page* right_page = nullptr;
+  };
+  std::vector<Write> writes;  // Leaf first; one per node that changes.
+  size_t key_size = stored.size();  // Of the entry the level gains.
+  for (size_t level = path.size(); level-- > 0;) {
+    const Step& s = path[level];
+    const Node& node = *s.node;
+    Write w;
+    bool split = node.bytes + 2 + key_size + (node.is_leaf ? 8 : 4) > kPageSize;
+    if (split) w.right = AllocNode(node.is_leaf);
+    ASSIGN_OR_RETURN(w.page, pool_->FetchMut(s.pid));
+    if (split) {
+      ASSIGN_OR_RETURN(w.right_page, pool_->FetchMut(w.right));
+    }
+    writes.push_back(w);
+    if (!split) break;
+    // The separator is the middle of the keys with the new one inserted.
+    size_t mid = (node.keys.size() + 1) / 2;
+    if (mid != s.idx) {
+      key_size = node.keys[mid < s.idx ? mid : mid - 1].size();
+    }
+  }
+  const bool grow = writes.size() == path.size() &&
+                    writes.back().right != kInvalidPage;
+  PageId new_root = kInvalidPage;
+  Page* new_root_page = nullptr;
+  if (grow) {
+    new_root = AllocNode(/*leaf=*/false);
+    ASSIGN_OR_RETURN(new_root_page, pool_->FetchMut(new_root));
+  }
+
+  // Apply: every page is in hand, so nothing below can fail.
+  std::string key = std::move(stored);
+  PageId right_child = kInvalidPage;  // Internal levels: the split's right.
+  for (size_t i = 0; i < writes.size(); ++i) {
+    const Step& s = path[path.size() - 1 - i];
+    Node* node = s.node;
+    node->bytes += EntryBytes(node->is_leaf, key);
+    if (node->is_leaf) {
+      node->tids.insert(node->tids.begin() + s.idx, tid.Pack());
+    } else {
+      node->children.insert(node->children.begin() + s.idx + 1, right_child);
+    }
+    node->keys.insert(node->keys.begin() + s.idx, std::move(key));
+    const Write& w = writes[i];
+    assert((w.right != kInvalidPage) == (node->bytes > kPageSize));
+    if (w.right == kInvalidPage) {
+      Encode(*node, w.page);
+      break;
+    }
+    Node* right = &node_cache_[w.right];
+    key = Split(node, right, w.right);
+    right_child = w.right;
+    Encode(*node, w.page);
+    Encode(*right, w.right_page);
+  }
+  if (grow) {
+    Node& root = node_cache_[new_root];
+    root.is_leaf = false;
+    root.children = {root_, right_child};
+    root.bytes = Node::kHeaderBytes + 4 + EntryBytes(false, key);
+    root.keys.push_back(std::move(key));
+    Encode(root, new_root_page);
+    root_ = new_root;
     ++height_;
   }
   ++num_entries_;
   return Status::OK();
 }
 
-StatusOr<std::optional<BTree::SplitResult>> BTree::InsertRec(
-    PageId pid, const std::string& stored, uint64_t tid) {
-  ASSIGN_OR_RETURN(const Node* cached, GetNode(pid));
-  Node node = *cached;  // Mutable working copy.
-  if (node.is_leaf) {
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), stored);
-    size_t idx = static_cast<size_t>(it - node.keys.begin());
-    node.keys.insert(it, stored);
-    node.tids.insert(node.tids.begin() + idx, tid);
+std::string BTree::Split(Node* node, Node* right, PageId right_pid) {
+  size_t mid = node->keys.size() / 2;
+  right->is_leaf = node->is_leaf;
+  // Moves keys [from, end) to `right`; returns their encoded bytes.
+  auto move_keys = [&](size_t from) {
+    size_t moved = 0;
+    for (size_t i = from; i < node->keys.size(); ++i) {
+      moved += EntryBytes(node->is_leaf, node->keys[i]);
+      right->keys.push_back(std::move(node->keys[i]));
+    }
+    node->keys.resize(from);
+    return moved;
+  };
+  std::string separator;
+  if (node->is_leaf) {
+    size_t moved = move_keys(mid);
+    right->tids.assign(node->tids.begin() + mid, node->tids.end());
+    node->tids.resize(mid);
+    node->bytes -= moved;
+    right->bytes += moved;
+    separator = right->keys.front();
+    right->next = node->next;
+    node->next = right_pid;
   } else {
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), stored);
-    size_t child_idx = static_cast<size_t>(it - node.keys.begin());
-    ASSIGN_OR_RETURN(std::optional<SplitResult> split,
-                     InsertRec(node.children[child_idx], stored, tid));
-    if (!split.has_value()) return std::optional<SplitResult>();
-    node.keys.insert(node.keys.begin() + child_idx, split->separator);
-    node.children.insert(node.children.begin() + child_idx + 1, split->right);
+    size_t moved = move_keys(mid + 1);
+    separator = std::move(node->keys[mid]);
+    node->keys.resize(mid);
+    node->bytes -= moved + EntryBytes(false, separator);
+    right->bytes += 4 + moved;  // Leftmost child, then the moved entries.
+    right->children.assign(node->children.begin() + mid + 1,
+                           node->children.end());
+    node->children.resize(mid + 1);
   }
-
-  if (node.SerializedSize() <= kPageSize) {
-    RETURN_IF_ERROR(WriteNode(pid, node));
-    return std::optional<SplitResult>();
-  }
-
-  // Split: move the upper half into a fresh right sibling.
-  size_t mid = node.keys.size() / 2;
-  Node right;
-  right.is_leaf = node.is_leaf;
-  SplitResult result;
-  if (node.is_leaf) {
-    right.keys.assign(node.keys.begin() + mid, node.keys.end());
-    right.tids.assign(node.tids.begin() + mid, node.tids.end());
-    node.keys.resize(mid);
-    node.tids.resize(mid);
-    result.separator = right.keys.front();
-    result.right = AllocNode(/*leaf=*/true);
-    right.next = node.next;
-    node.next = result.right;
-  } else {
-    // The middle key moves up; it routes but is not stored in either half.
-    result.separator = node.keys[mid];
-    right.keys.assign(node.keys.begin() + mid + 1, node.keys.end());
-    right.children.assign(node.children.begin() + mid + 1,
-                          node.children.end());
-    node.keys.resize(mid);
-    node.children.resize(mid + 1);
-    result.right = AllocNode(/*leaf=*/false);
-  }
-  RETURN_IF_ERROR(WriteNode(pid, node));
-  RETURN_IF_ERROR(WriteNode(result.right, right));
-  return std::optional<SplitResult>(result);
+  return separator;
 }
 
 Status BTree::Delete(const std::string& user_key, Tid tid) {
   std::string stored = MakeStoredKey(user_key, tid);
   ASSIGN_OR_RETURN(PageId leaf, FindLeaf(stored));
-  ASSIGN_OR_RETURN(const Node* cached, GetNode(leaf));
-  Node node = *cached;  // Mutable working copy.
-  auto it = std::lower_bound(node.keys.begin(), node.keys.end(), stored);
-  if (it == node.keys.end() || *it != stored) {
+  ASSIGN_OR_RETURN(Node* node, GetNode(leaf));
+  auto it = std::lower_bound(node->keys.begin(), node->keys.end(), stored);
+  if (it == node->keys.end() || *it != stored) {
     return Status::NotFound("index entry not found");
   }
-  size_t idx = static_cast<size_t>(it - node.keys.begin());
-  node.keys.erase(it);
-  node.tids.erase(node.tids.begin() + idx);
-  RETURN_IF_ERROR(WriteNode(leaf, node));
+  ASSIGN_OR_RETURN(Page * page, pool_->FetchMut(leaf));
+  size_t idx = static_cast<size_t>(it - node->keys.begin());
+  node->bytes -= EntryBytes(true, stored);
+  node->keys.erase(it);
+  node->tids.erase(node->tids.begin() + idx);
+  Encode(*node, page);
   --num_entries_;
   return Status::OK();
 }

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,9 +91,9 @@ class BTree {
     bool valid_ = false;
     PageId leaf_ = kInvalidPage;
     // Current leaf in the tree's decoded-node cache. Stable: the cache is
-    // node-based, entries are updated in place and never evicted, and no
-    // cursor is ever live across an index write (DML collects its targets
-    // before mutating).
+    // node-based and never evicts, and writes edit nodes in place. A write
+    // shifts the entries under `pos_`, so no cursor is ever live across an
+    // index write (DML collects its targets before mutating).
     const Node* node_ = nullptr;
     size_t pos_ = 0;
     std::string user_key_;
@@ -110,11 +109,16 @@ class BTree {
   friend class Cursor;
 
   struct Node {
+    static constexpr size_t kHeaderBytes = 1 + 2 + 4;  // is_leaf, count, next.
+
     bool is_leaf = true;
     PageId next = kInvalidPage;             // Leaf chain.
     std::vector<std::string> keys;          // Stored keys (user||tid).
     std::vector<uint64_t> tids;             // Leaf payloads.
     std::vector<PageId> children;           // Internal: keys.size() + 1.
+    // Encoded size, kept current by decode, insert, erase and split so the
+    // overflow test never re-sums the keys; equals SerializedSize().
+    size_t bytes = kHeaderBytes;
 
     size_t SerializedSize() const;
   };
@@ -122,24 +126,23 @@ class BTree {
   /// Returns the decoded node for `pid`, decoding and caching it on first
   /// access. Every call is metered as one buffer-pool fetch, exactly like the
   /// raw page read it replaces; the cache only elides re-deserialization.
-  /// Entries are updated in place by WriteNode and never evicted, so the
-  /// returned pointer stays valid for the lifetime of the tree. Decode
+  /// Entries are never evicted, so the returned pointer stays valid for the
+  /// lifetime of the tree. Writers edit the node through this pointer, but
+  /// only after FetchMut of its page succeeded, and then re-encode the page
+  /// (Encode): a failed write leaves node and page in agreement. Decode
   /// validates the node structurally — header flag, entry bounds, strictly
   /// ascending stored keys, child/next page ids in range — and returns
   /// kDataLoss on any inconsistency without caching the bad decode.
-  StatusOr<const Node*> GetNode(PageId pid) const;
-  Status WriteNode(PageId pid, const Node& node);
+  StatusOr<Node*> GetNode(PageId pid) const;
+  /// Serializes `node` into `page` (already fetched for write).
+  static void Encode(const Node& node, Page* page);
   PageId AllocNode(bool leaf);
 
-  struct SplitResult {
-    std::string separator;  // First stored key of the right node.
-    PageId right;
-  };
-  /// Inserts into the subtree rooted at `pid`; returns a split if `pid`
-  /// overflowed.
-  StatusOr<std::optional<SplitResult>> InsertRec(PageId pid,
-                                                 const std::string& stored,
-                                                 uint64_t tid);
+  /// Moves the upper half of the overflowing `node` into the empty node
+  /// `right` (a fresh page) and returns the separator the parent gains:
+  /// the first key of a right leaf, or the middle key of an internal node,
+  /// which moves up and is stored in neither half.
+  static std::string Split(Node* node, Node* right, PageId right_pid);
 
   /// Descends to the leaf that may contain the first stored key >= target.
   StatusOr<PageId> FindLeaf(const std::string& target) const;

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/value.h"
 #include "rss/buffer_pool.h"
+#include "rss/fault_injector.h"
 
 namespace systemr {
 namespace {
@@ -31,7 +32,13 @@ struct TreeView {
   }
 };
 
-TreeView ViewOf(const BTree& tree, int64_t lo, int64_t hi) {
+std::vector<std::string> IntKeys(int64_t lo, int64_t hi) {
+  std::vector<std::string> keys;
+  for (int64_t k = lo; k <= hi; ++k) keys.push_back(IntKey(k));
+  return keys;
+}
+
+TreeView ViewOf(const BTree& tree, const std::vector<std::string>& probes) {
   TreeView view;
   BTree::Cursor c = tree.NewCursor();
   EXPECT_TRUE(c.SeekToFirst().ok());
@@ -39,8 +46,8 @@ TreeView ViewOf(const BTree& tree, int64_t lo, int64_t hi) {
     view.scan.emplace_back(c.user_key(), c.tid().Pack());
     EXPECT_TRUE(c.Next().ok());
   }
-  for (int64_t k = lo; k <= hi; ++k) {
-    StatusOr<bool> has = tree.ContainsKey(IntKey(k));
+  for (const std::string& key : probes) {
+    StatusOr<bool> has = tree.ContainsKey(key);
     EXPECT_TRUE(has.ok());
     view.contains.push_back(has.ok() && *has);
   }
@@ -48,10 +55,11 @@ TreeView ViewOf(const BTree& tree, int64_t lo, int64_t hi) {
 }
 
 // The cached view must equal the view re-decoded from page bytes.
-void ExpectPagesMatchCache(const BTree& tree, int64_t lo, int64_t hi) {
-  TreeView cached = ViewOf(tree, lo, hi);
+void ExpectPagesMatchCache(const BTree& tree,
+                           const std::vector<std::string>& probes) {
+  TreeView cached = ViewOf(tree, probes);
   tree.DropNodeCaches();
-  TreeView decoded = ViewOf(tree, lo, hi);
+  TreeView decoded = ViewOf(tree, probes);
   EXPECT_EQ(cached.scan.size(), decoded.scan.size());
   EXPECT_TRUE(cached == decoded) << "a node edit did not reach its page";
 }
@@ -214,7 +222,7 @@ TEST_P(BTreePropertyTest, MatchesSortedReference) {
     cursor.Next();
   }
   EXPECT_EQ(got, expect);
-  ExpectPagesMatchCache(tree, -1, n / 2 + 1);
+  ExpectPagesMatchCache(tree, IntKeys(-1, n / 2 + 1));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BTreePropertyTest,
@@ -277,11 +285,72 @@ TEST_P(BTreeDeleteFuzzTest, MatchesMultisetReference) {
     seen.emplace(v.AsInt(), cursor.tid().page);
   }
   EXPECT_EQ(seen, reference);
-  ExpectPagesMatchCache(tree, -1, 201);
+  ExpectPagesMatchCache(tree, IntKeys(-1, 201));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeDeleteFuzzTest,
                          ::testing::Values(1, 2, 3, 4));
+
+// A one-frame pool with persistent read faults armed: nearly every page
+// access is a simulated disk read, so writes fail at every step — the
+// descent, the fetch for write after a split allocated its right sibling,
+// the parent's fetch after the child split. A write that fails must say so,
+// must leave every cached node equal to its page, and must leave the tree
+// as it was.
+TEST(BTreeWriteFaultTest, FailedWritesLeaveNodesMatchingPages) {
+  PageStore store;
+  BufferPool pool(&store, 1);
+  BTree tree(&pool, 0, /*unique=*/false);
+  FaultConfig config;
+  config.io_error_rate = 0.3;
+  config.persistent_fraction = 1.0;
+  FaultInjector injector(5, config);
+  pool.set_fault_injector(&injector);
+  // Long keys: about 20 entries per leaf, so splits are frequent.
+  auto key = [](int64_t k) { return IntKey(k) + std::string(180, 'k'); };
+  std::vector<std::string> probes;
+  for (int64_t k = 0; k < 400; k += 8) probes.push_back(key(k));
+  std::vector<std::pair<int64_t, uint32_t>> live;
+  Rng rng(17);
+  int failed = 0;
+  int succeeded = 0;
+  for (uint32_t op = 0; op < 1500; ++op) {
+    injector.Arm();
+    Status st;
+    size_t victim = 0;
+    bool insert = live.empty() || rng.Bernoulli(0.8);
+    if (insert) {
+      int64_t k = rng.Uniform(0, 399);
+      st = tree.Insert(key(k), Tid{op, 0});
+      if (st.ok()) live.emplace_back(k, op);
+    } else {
+      victim = static_cast<size_t>(rng.Uniform(0, live.size() - 1));
+      st = tree.Delete(key(live[victim].first), Tid{live[victim].second, 0});
+      if (st.ok()) live.erase(live.begin() + victim);
+    }
+    injector.Disarm();
+    if (st.ok()) {
+      ++succeeded;
+      continue;
+    }
+    ++failed;
+    EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+    ExpectPagesMatchCache(tree, probes);
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(failed, 100);
+  EXPECT_GT(succeeded, 100);
+  EXPECT_GT(tree.height(), 1);
+  ExpectPagesMatchCache(tree, probes);
+  // Every page a write changes is fetched before any node is edited, so a
+  // failed write changed nothing: the tree holds exactly the writes that
+  // succeeded.
+  std::vector<std::pair<std::string, uint64_t>> expect;
+  for (const auto& [k, op] : live) expect.emplace_back(key(k), Tid{op, 0}.Pack());
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(ViewOf(tree, {}).scan, expect);
+  EXPECT_EQ(tree.num_entries(), live.size());
+}
 
 }  // namespace
 }  // namespace systemr
