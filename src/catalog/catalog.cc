@@ -51,6 +51,11 @@ StatusOr<IndexInfo*> Catalog::CreateIndex(
     const std::vector<std::string>& column_names, bool unique,
     bool clustered) {
   std::unique_lock<std::shared_mutex> lock(mu_);
+  for (const auto& existing : indexes_) {
+    if (existing != nullptr && existing->name == index_name) {
+      return Status::AlreadyExists("index " + index_name + " already exists");
+    }
+  }
   TableInfo* table = FindTableLocked(table_name);
   if (table == nullptr) {
     return Status::NotFound("no such table: " + table_name);
@@ -76,18 +81,26 @@ StatusOr<IndexInfo*> Catalog::CreateIndex(
   info->unique = unique;
   info->clustered = clustered;
 
-  // Bulk-load from existing tuples.
+  // Load the existing tuples one B-tree insert at a time, in heap (TID)
+  // order: the tree gets exactly the pages, splits and NINDX that inserting
+  // the same rows through DML would give it. A sorted bottom-up build would
+  // be faster but would pack the leaves differently, changing NINDX and with
+  // it every index-access cost estimate and possibly the chosen plans.
   auto scan = rss_->OpenSegmentScan(table->id, {});
-  RETURN_IF_ERROR(scan->Open());
-  Row row;
-  Tid tid;
-  while (true) {
-    bool has;
-    RETURN_IF_ERROR(scan->Next(&row, &tid, &has));
-    if (!has) break;
-    RETURN_IF_ERROR(btree->Insert(ExtractKey(*info, row), tid));
-  }
+  auto load = [&]() -> Status {
+    RETURN_IF_ERROR(scan->Open());
+    Row row;
+    Tid tid;
+    while (true) {
+      bool has;
+      RETURN_IF_ERROR(scan->Next(&row, &tid, &has));
+      if (!has) return Status::OK();
+      RETURN_IF_ERROR(btree->Insert(ExtractKey(*info, row), tid));
+    }
+  };
+  Status loaded = load();
   scan->Close();
+  RETURN_IF_ERROR(loaded);
 
   table->indexes.push_back(info->id);
   IndexId id = info->id;

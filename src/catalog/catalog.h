@@ -81,8 +81,10 @@ class Catalog {
                                    std::optional<SegmentId> segment =
                                        std::nullopt);
 
-  /// Creates a B+-tree index over `column_names` and bulk-loads it from the
-  /// table's current contents. Initializes the index statistics.
+  /// Creates a B+-tree index over `column_names` and loads it from the
+  /// table's current contents, one insert per tuple in heap order.
+  /// Initializes the index statistics. Index names are unique across the
+  /// catalog: a taken name is AlreadyExists, before any page is allocated.
   StatusOr<IndexInfo*> CreateIndex(const std::string& index_name,
                                    const std::string& table_name,
                                    const std::vector<std::string>& column_names,

@@ -152,6 +152,39 @@ TEST_F(CatalogTest, UniqueIndexOnPrimaryKey) {
   EXPECT_FALSE(catalog_.Insert("EMP", dup).ok());
 }
 
+TEST_F(CatalogTest, DuplicateIndexNameIsRejected) {
+  LoadEmp(300, 10, false);
+  ASSERT_TRUE(catalog_.CreateIndex("EMP_DNO", "EMP", {"DNO"}, false, false)
+                  .ok());
+  size_t pages_before = rss_.store().num_pages();
+  // Same name, same definition: a second tree would be maintained by every
+  // later write for nothing.
+  auto again = catalog_.CreateIndex("EMP_DNO", "EMP", {"DNO"}, false, false);
+  EXPECT_EQ(again.status().code(), StatusCode::kAlreadyExists);
+  // Same name on other columns is just as taken.
+  auto other = catalog_.CreateIndex("EMP_DNO", "EMP", {"JOB"}, false, false);
+  EXPECT_EQ(other.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(rss_.store().num_pages(), pages_before)
+      << "the name is checked before a tree is allocated";
+  EXPECT_EQ(catalog_.FindTable("EMP")->indexes.size(), 1u);
+}
+
+TEST_F(CatalogTest, FailedIndexBuildRegistersNothing) {
+  LoadEmp(300, 10, false);
+  // DNO has only 10 distinct values: the unique build fails part-way.
+  auto bad = catalog_.CreateIndex("EMP_DNO", "EMP", {"DNO"}, /*unique=*/true,
+                                  false);
+  EXPECT_EQ(bad.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_TRUE(catalog_.FindTable("EMP")->indexes.empty());
+  // The name is still free, and the table still takes writes.
+  auto good = catalog_.CreateIndex("EMP_DNO", "EMP", {"DNO"}, false, false);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ((*good)->icard, 10u);
+  Row row = {Value::Int(1000), Value::Str("new"), Value::Int(3), Value::Int(0),
+             Value::Int(0)};
+  EXPECT_TRUE(catalog_.Insert("EMP", row).ok());
+}
+
 TEST_F(CatalogTest, IndexScanThroughCatalogIndex) {
   LoadEmp(1000, 10, false);
   auto idx = catalog_.CreateIndex("EMP_DNO", "EMP", {"DNO"}, false, false);
