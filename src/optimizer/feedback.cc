@@ -60,11 +60,29 @@ void Render(const BoundExpr& e, const BoundQueryBlock& block, std::string* out,
       Render(*e.children[0], block, out, mask, signable);
       *out += " BETWEEN $ AND $";
       return;
-    case BoundExprKind::kInList:
+    case BoundExprKind::kInList: {
       Render(*e.children[0], block, out, mask, signable);
-      // List length matters: `IN ($)` and `IN ($,$,$)` select differently.
-      *out += " IN[" + std::to_string(e.children.size() - 1) + "]";
+      bool all_values = true;
+      for (size_t i = 1; i < e.children.size(); ++i) {
+        BoundExprKind k = e.children[i]->kind;
+        all_values &= k == BoundExprKind::kLiteral ||
+                      k == BoundExprKind::kParameter;
+      }
+      if (all_values) {
+        // List length matters: `IN ($)` and `IN ($,$,$)` select differently.
+        *out += " IN[" + std::to_string(e.children.size() - 1) + "]";
+        return;
+      }
+      // Any other item is rendered, columns and all: `A IN (B, $)` must not
+      // share `A IN ($,$)`'s feedback, and B's table joins the mask.
+      *out += " IN(";
+      for (size_t i = 1; i < e.children.size(); ++i) {
+        if (i > 1) *out += ",";
+        Render(*e.children[i], block, out, mask, signable);
+      }
+      *out += ")";
       return;
+    }
     case BoundExprKind::kIsNull:
       Render(*e.children[0], block, out, mask, signable);
       *out += e.negated ? " IS NOT NULL" : " IS NULL";

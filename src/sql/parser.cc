@@ -330,9 +330,11 @@ StatusOr<std::unique_ptr<Expr>> Parser::ParsePredicate() {
       node = std::make_unique<Expr>();
       node->kind = ExprKind::kInList;
       node->children.push_back(std::move(lhs));
+      // Items are arbitrary scalar expressions: columns, arithmetic, host
+      // variables and aggregates (in HAVING) as well as literals.
       while (true) {
-        ASSIGN_OR_RETURN(Value v, ParseLiteralValue());
-        node->children.push_back(MakeLiteral(std::move(v)));
+        ASSIGN_OR_RETURN(std::unique_ptr<Expr> item, ParseAdditive());
+        node->children.push_back(std::move(item));
         if (!Match(TokenType::kComma)) break;
       }
     }

@@ -81,12 +81,21 @@ TEST_F(FeedbackTest, SignatureKeepsShapeDetails) {
             Signature("SELECT K FROM T WHERE A IN (1, 2, 3)"));
   EXPECT_NE(Signature("SELECT K FROM T WHERE S LIKE 'AB%'"),
             Signature("SELECT K FROM T WHERE S LIKE 'ZZ%'"));
+  // A column item is not a value position: it stays in the signature.
+  std::string col_list = Signature("SELECT K FROM T WHERE A IN (K, 3)");
+  EXPECT_FALSE(col_list.empty());
+  EXPECT_EQ(col_list, Signature("SELECT K FROM T WHERE A IN (K, 9)"));
+  EXPECT_NE(col_list, Signature("SELECT K FROM T WHERE A IN (1, 3)"));
+  EXPECT_NE(col_list, Signature("SELECT K FROM T WHERE A IN (K + 1, 3)"));
+  EXPECT_EQ(Signature("SELECT K FROM T WHERE A IN (?, 3)"),
+            Signature("SELECT K FROM T WHERE A IN (1, 3)"));
 }
 
 // Join factors, multi-table predicates, and subqueries are not signable.
 TEST_F(FeedbackTest, SignatureRejectsNonLocalFactors) {
   EXPECT_EQ(Signature("SELECT X.K FROM T X, T Y WHERE X.A = Y.A"), "");
   EXPECT_EQ(Signature("SELECT K FROM T WHERE A IN (SELECT A FROM T)"), "");
+  EXPECT_EQ(Signature("SELECT X.K FROM T X, T Y WHERE X.A IN (Y.A, 3)"), "");
 }
 
 // The store keys observations by signature and counts them.

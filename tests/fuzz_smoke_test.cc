@@ -162,6 +162,69 @@ TEST(FuzzSmokeTest, ExpressionsOverAggregatesMatchReference) {
   }
 }
 
+// IN lists whose items are columns, arithmetic or aggregates (not only
+// literals) compile to a per-row list rather than a sorted constant set, and
+// a list naming another table's column is a join predicate. Every query is
+// checked multiset-identical against the reference executor under the sorted,
+// hash and forced-parallel variants.
+TEST(FuzzSmokeTest, InListExpressionItemsMatchReference) {
+  const char* kQueries[] = {
+      "SELECT A, B FROM T WHERE A IN (B, 3)",
+      "SELECT A FROM T WHERE A IN (1 + 1)",
+      "SELECT A, B FROM T WHERE A NOT IN (B - 1, 4)",
+      "SELECT A, B FROM T WHERE B IN (NULL, A * 3)",
+      "SELECT A, B FROM T WHERE A IN (B / 2, 0) OR B IN (5, 6)",
+      "SELECT A, SUM(B) FROM T GROUP BY A HAVING SUM(B) IN (A + 20, 31)",
+      "SELECT A, COUNT(*) FROM T GROUP BY A HAVING COUNT(*) IN (A + 1, 0)",
+      "SELECT T.A, U.C FROM T, U WHERE T.A IN (U.C, 0)",
+      "SELECT T.A, U.C FROM T, U WHERE T.B = U.C AND U.D IN (T.A, 2)",
+  };
+  const struct {
+    const char* name;
+    JoinMethodForce force;
+    bool parallel;
+  } kVariants[] = {
+      {"sorted", JoinMethodForce::kMerge, false},
+      {"hash", JoinMethodForce::kHash, false},
+      {"parallel", JoinMethodForce::kHash, true},
+  };
+  Database db(64);
+  ASSERT_TRUE(db.Execute("CREATE TABLE T (A INT, B INT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE U (C INT, D INT)").ok());
+  for (int i = 0; i < 40; ++i) {
+    std::string b = i % 9 == 0 ? "NULL" : std::to_string((i * 7) % 13);
+    ASSERT_TRUE(db.Execute("INSERT INTO T VALUES (" + std::to_string(i % 6) +
+                           ", " + b + ")")
+                    .ok());
+    ASSERT_TRUE(db.Execute("INSERT INTO U VALUES (" + std::to_string(i % 11) +
+                           ", " + std::to_string(i % 4) + ")")
+                    .ok());
+  }
+  ASSERT_TRUE(db.Execute("CREATE INDEX T_A ON T (A)").ok());
+  ASSERT_TRUE(db.Execute("CREATE INDEX U_C ON U (C)").ok());
+  ASSERT_TRUE(db.Execute("UPDATE STATISTICS T").ok());
+  ASSERT_TRUE(db.Execute("UPDATE STATISTICS U").ok());
+  RefExecutor ref(&db.rss().store(), RelPageMap(&db));
+  for (const auto& v : kVariants) {
+    db.options().join.force = v.force;
+    for (const char* sql : kQueries) {
+      auto prepared = v.parallel ? db.Prepare(sql, 4, true) : db.Prepare(sql);
+      ASSERT_TRUE(prepared.ok())
+          << sql << "\n" << prepared.status().ToString();
+      auto ref_rows = ref.Execute(*prepared->block);
+      ASSERT_TRUE(ref_rows.ok())
+          << sql << "\n" << ref_rows.status().ToString();
+      auto result = db.Run(*prepared);
+      ASSERT_TRUE(result.ok())
+          << v.name << " " << sql << "\n" << result.status().ToString();
+      EXPECT_TRUE(SameRowMultiset(*ref_rows, result->rows))
+          << v.name << " sql=[" << sql << "] "
+          << DiffSummary(*ref_rows, result->rows);
+      EXPECT_FALSE(result->rows.empty()) << v.name << " " << sql;
+    }
+  }
+}
+
 // Targeted hash-join differential run: 200 seeds with every multi-table
 // query forced through the hash join wherever an equi predicate allows
 // (non-equi joins keep nested loop — forcing must never lose DP

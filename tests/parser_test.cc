@@ -66,6 +66,22 @@ TEST(ParserTest, BetweenInAndNot) {
   EXPECT_NE(s.find("NOT"), std::string::npos);
 }
 
+// IN-list items are scalar expressions, not only literals.
+TEST(ParserTest, InListItemsAreExpressions) {
+  auto stmt = Parse("SELECT A FROM T WHERE A IN (B, 3) AND A IN (1 + 1)");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  std::string s = stmt->select->where->ToString();
+  EXPECT_NE(s.find("IN (B, 3)"), std::string::npos) << s;
+  EXPECT_NE(s.find("IN ((1+1))"), std::string::npos) << s;
+  auto having = Parse(
+      "SELECT A FROM T GROUP BY A HAVING SUM(B) IN (A, -7, ?)");
+  ASSERT_TRUE(having.ok()) << having.status().ToString();
+  EXPECT_FALSE(Parse("SELECT A FROM T WHERE A IN ()").ok());
+  EXPECT_FALSE(Parse("SELECT A FROM T WHERE A IN (1, )").ok());
+  EXPECT_FALSE(Parse("SELECT A FROM T WHERE A IN (B = 1)").ok())
+      << "an item is a scalar, not a predicate";
+}
+
 TEST(ParserTest, OrPrecedence) {
   auto stmt = Parse("SELECT A FROM T WHERE A=1 OR B=2 AND C=3");
   ASSERT_TRUE(stmt.ok());
