@@ -19,8 +19,8 @@ std::string MakeStoredKey(const std::string& user_key, Tid tid) {
 
 // Encoded bytes of one entry: key length, key, then the TID (leaf) or the
 // right child's page id (internal).
-size_t EntryBytes(bool leaf, const std::string& key) {
-  return 2 + key.size() + (leaf ? 8 : 4);
+size_t EntryBytes(bool leaf, size_t key_size) {
+  return 2 + key_size + (leaf ? 8 : 4);
 }
 
 uint64_t ReadU64(const char* p) {
@@ -41,7 +41,7 @@ Status NodeCorrupt(PageId pid, const char* what) {
 size_t BTree::Node::SerializedSize() const {
   size_t size = Node::kHeaderBytes;
   if (!is_leaf) size += 4;  // Leftmost child.
-  for (const std::string& key : keys) size += EntryBytes(is_leaf, key);
+  for (const std::string& key : keys) size += EntryBytes(is_leaf, key.size());
   return size;
 }
 
@@ -210,7 +210,7 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
     const Step& s = path[level];
     const Node& node = *s.node;
     Write w;
-    bool split = node.bytes + 2 + key_size + (node.is_leaf ? 8 : 4) > kPageSize;
+    bool split = node.bytes + EntryBytes(node.is_leaf, key_size) > kPageSize;
     if (split) w.right = AllocNode(node.is_leaf);
     ASSIGN_OR_RETURN(w.page, pool_->FetchMut(s.pid));
     if (split) {
@@ -239,7 +239,7 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
   for (size_t i = 0; i < writes.size(); ++i) {
     const Step& s = path[path.size() - 1 - i];
     Node* node = s.node;
-    node->bytes += EntryBytes(node->is_leaf, key);
+    node->bytes += EntryBytes(node->is_leaf, key.size());
     if (node->is_leaf) {
       node->tids.insert(node->tids.begin() + s.idx, tid.Pack());
     } else {
@@ -262,7 +262,7 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
     Node& root = node_cache_[new_root];
     root.is_leaf = false;
     root.children = {root_, right_child};
-    root.bytes = Node::kHeaderBytes + 4 + EntryBytes(false, key);
+    root.bytes = Node::kHeaderBytes + 4 + EntryBytes(false, key.size());
     root.keys.push_back(std::move(key));
     Encode(root, new_root_page);
     root_ = new_root;
@@ -278,8 +278,9 @@ std::string BTree::Split(Node* node, Node* right, PageId right_pid) {
   // Moves keys [from, end) to `right`; returns their encoded bytes.
   auto move_keys = [&](size_t from) {
     size_t moved = 0;
+    right->keys.reserve(node->keys.size() - from);
     for (size_t i = from; i < node->keys.size(); ++i) {
-      moved += EntryBytes(node->is_leaf, node->keys[i]);
+      moved += EntryBytes(node->is_leaf, node->keys[i].size());
       right->keys.push_back(std::move(node->keys[i]));
     }
     node->keys.resize(from);
@@ -299,12 +300,17 @@ std::string BTree::Split(Node* node, Node* right, PageId right_pid) {
     size_t moved = move_keys(mid + 1);
     separator = std::move(node->keys[mid]);
     node->keys.resize(mid);
-    node->bytes -= moved + EntryBytes(false, separator);
+    node->bytes -= moved + EntryBytes(false, separator.size());
     right->bytes += 4 + moved;  // Leftmost child, then the moved entries.
     right->children.assign(node->children.begin() + mid + 1,
                            node->children.end());
     node->children.resize(mid + 1);
   }
+  // Both halves are about half full. Release the left half's spare
+  // capacity, or every split node would keep a full page's worth of slots.
+  node->keys.shrink_to_fit();
+  node->tids.shrink_to_fit();
+  node->children.shrink_to_fit();
   return separator;
 }
 
@@ -318,7 +324,7 @@ Status BTree::Delete(const std::string& user_key, Tid tid) {
   }
   ASSIGN_OR_RETURN(Page * page, pool_->FetchMut(leaf));
   size_t idx = static_cast<size_t>(it - node->keys.begin());
-  node->bytes -= EntryBytes(true, stored);
+  node->bytes -= EntryBytes(true, stored.size());
   node->keys.erase(it);
   node->tids.erase(node->tids.begin() + idx);
   Encode(*node, page);
