@@ -23,6 +23,14 @@ size_t EntryBytes(bool leaf, size_t key_size) {
   return 2 + key_size + (leaf ? 8 : 4);
 }
 
+// Makes room for one more element, growing by an eighth instead of
+// doubling: decoded nodes stay resident for the tree's lifetime, so spare
+// slots are memory held, while a reallocation only moves a node's entries.
+template <typename T>
+void ReserveOneMore(std::vector<T>* v) {
+  if (v->size() == v->capacity()) v->reserve(v->size() + v->size() / 8 + 1);
+}
+
 uint64_t ReadU64(const char* p) {
   uint64_t v;
   std::memcpy(&v, p, 8);
@@ -241,10 +249,13 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
     Node* node = s.node;
     node->bytes += EntryBytes(node->is_leaf, key.size());
     if (node->is_leaf) {
+      ReserveOneMore(&node->tids);
       node->tids.insert(node->tids.begin() + s.idx, tid.Pack());
     } else {
+      ReserveOneMore(&node->children);
       node->children.insert(node->children.begin() + s.idx + 1, right_child);
     }
+    ReserveOneMore(&node->keys);
     node->keys.insert(node->keys.begin() + s.idx, std::move(key));
     const Write& w = writes[i];
     assert((w.right != kInvalidPage) == (node->bytes > kPageSize));
