@@ -188,6 +188,7 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
     size_t idx;  // Insert position of the entry this node may gain.
   };
   std::vector<Step> path;  // Root first.
+  path.reserve(static_cast<size_t>(height_));
   for (PageId pid = root_;;) {
     // Bounded like FindLeaf: a corrupt child loop must neither spin nor put
     // one node on the path twice.
