@@ -62,19 +62,9 @@ void Render(const BoundExpr& e, const BoundQueryBlock& block, std::string* out,
       return;
     case BoundExprKind::kInList: {
       Render(*e.children[0], block, out, mask, signable);
-      bool all_values = true;
-      for (size_t i = 1; i < e.children.size(); ++i) {
-        BoundExprKind k = e.children[i]->kind;
-        all_values &= k == BoundExprKind::kLiteral ||
-                      k == BoundExprKind::kParameter;
-      }
-      if (all_values) {
-        // List length matters: `IN ($)` and `IN ($,$,$)` select differently.
-        *out += " IN[" + std::to_string(e.children.size() - 1) + "]";
-        return;
-      }
-      // Any other item is rendered, columns and all: `A IN (B, $)` must not
-      // share `A IN ($,$)`'s feedback, and B's table joins the mask.
+      // Every item is rendered, so the list length is kept (`IN ($)` and
+      // `IN ($,$,$)` select differently) and `A IN (B, $)` does not share
+      // `A IN ($,$)`'s feedback; a column item's table joins the mask.
       *out += " IN(";
       for (size_t i = 1; i < e.children.size(); ++i) {
         if (i > 1) *out += ",";

@@ -59,7 +59,9 @@ BTree::BTree(BufferPool* pool, IndexId id, bool unique)
   // The fresh root is resident (NewPage pins it), so this fetch cannot fail.
   StatusOr<Page*> page = pool_->FetchMut(root_);
   assert(page.ok());
-  Encode(node_cache_[root_], *page);
+  Status encoded = Encode(node_cache_[root_], *page);
+  assert(encoded.ok());
+  (void)encoded;
 }
 
 PageId BTree::AllocNode(bool leaf) {
@@ -69,7 +71,7 @@ PageId BTree::AllocNode(bool leaf) {
   return pid;
 }
 
-StatusOr<BTree::Node*> BTree::GetNode(PageId pid) const {
+StatusOr<const BTree::Node*> BTree::GetNode(PageId pid) const {
   // The fetch is issued unconditionally so metering (buffer gets, simulated
   // page fetches, LRU state) is identical whether or not the decoded form is
   // cached; the cache only skips re-deserialization. Fetch failures (I/O
@@ -142,9 +144,21 @@ StatusOr<BTree::Node*> BTree::GetNode(PageId pid) const {
   return node;
 }
 
-void BTree::Encode(const Node& node, Page* page) {
+StatusOr<BTree::Node*> BTree::GetNodeForWrite(PageId pid) {
+  ASSIGN_OR_RETURN(const Node* node, GetNode(pid));
+  // The cache belongs to this tree, which the caller may modify; GetNode
+  // hands out const nodes only so the read paths cannot edit them.
+  return const_cast<Node*>(node);
+}
+
+Status BTree::Encode(const Node& node, Page* page) {
   assert(node.bytes == node.SerializedSize());
-  assert(node.bytes <= kPageSize);
+  // `bytes` decides splits; should it ever drift from the true size, fail
+  // here rather than write past the page.
+  auto overflow = [] {
+    return Status::Internal("B-tree node does not fit its page");
+  };
+  if (node.bytes > kPageSize) return overflow();
   char* p = page->bytes.data();
   p[0] = node.is_leaf ? 1 : 0;
   uint16_t count = static_cast<uint16_t>(node.keys.size());
@@ -157,6 +171,7 @@ void BTree::Encode(const Node& node, Page* page) {
   }
   for (size_t i = 0; i < node.keys.size(); ++i) {
     uint16_t klen = static_cast<uint16_t>(node.keys[i].size());
+    if (pos + EntryBytes(node.is_leaf, klen) > kPageSize) return overflow();
     std::memcpy(p + pos, &klen, 2);
     pos += 2;
     std::memcpy(p + pos, node.keys[i].data(), klen);
@@ -169,6 +184,7 @@ void BTree::Encode(const Node& node, Page* page) {
       pos += 4;
     }
   }
+  return Status::OK();
 }
 
 Status BTree::Insert(const std::string& user_key, Tid tid) {
@@ -196,7 +212,7 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
       return Status::DataLoss("B-tree insert descent exceeded height " +
                               std::to_string(height_));
     }
-    ASSIGN_OR_RETURN(Node* node, GetNode(pid));
+    ASSIGN_OR_RETURN(Node* node, GetNodeForWrite(pid));
     auto it = std::upper_bound(node->keys.begin(), node->keys.end(), stored);
     path.push_back({pid, node, static_cast<size_t>(it - node->keys.begin())});
     if (node->is_leaf) break;
@@ -205,13 +221,17 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
 
   // Plan bottom-up which nodes split, allocate each right sibling and fetch
   // every page this insert writes before any node is edited, so a failed
-  // fetch leaves the tree as it was. The pages are allocated and fetched in
+  // fetch leaves every node and its page as they were (siblings allocated
+  // before it stay allocated, unreachable). The pages are allocated and fetched in
   // the order the edits use them, so page ids and buffer state match a
   // level-by-level write.
   struct Write {
     Page* page = nullptr;
     PageId right = kInvalidPage;  // Fresh sibling if the node splits.
     Page* right_page = nullptr;
+    // Split point: keys [mid, end) of the node, new entry included, move
+    // to `right`, and key `mid` is the separator the parent gains.
+    size_t mid = 0;
   };
   std::vector<Write> writes;  // Leaf first; one per node that changes.
   size_t key_size = stored.size();  // Of the entry the level gains.
@@ -225,13 +245,16 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
     if (split) {
       ASSIGN_OR_RETURN(w.right_page, pool_->FetchMut(w.right));
     }
-    writes.push_back(w);
-    if (!split) break;
-    // The separator is the middle of the keys with the new one inserted.
-    size_t mid = (node.keys.size() + 1) / 2;
-    if (mid != s.idx) {
-      key_size = node.keys[mid < s.idx ? mid : mid - 1].size();
+    if (!split) {
+      writes.push_back(w);
+      break;
     }
+    // The middle of the keys with the new one inserted, at s.idx.
+    w.mid = (node.keys.size() + 1) / 2;
+    if (w.mid != s.idx) {
+      key_size = node.keys[w.mid < s.idx ? w.mid : w.mid - 1].size();
+    }
+    writes.push_back(w);
   }
   const bool grow = writes.size() == path.size() &&
                     writes.back().right != kInvalidPage;
@@ -242,7 +265,8 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
     ASSIGN_OR_RETURN(new_root_page, pool_->FetchMut(new_root));
   }
 
-  // Apply: every page is in hand, so nothing below can fail.
+  // Apply: every page is in hand, so nothing below fails unless a planned
+  // size was wrong, which Encode reports.
   std::string key = std::move(stored);
   PageId right_child = kInvalidPage;  // Internal levels: the split's right.
   for (size_t i = 0; i < writes.size(); ++i) {
@@ -261,14 +285,14 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
     const Write& w = writes[i];
     assert((w.right != kInvalidPage) == (node->bytes > kPageSize));
     if (w.right == kInvalidPage) {
-      Encode(*node, w.page);
+      RETURN_IF_ERROR(Encode(*node, w.page));
       break;
     }
     Node* right = &node_cache_[w.right];
-    key = Split(node, right, w.right);
+    key = Split(node, right, w.right, w.mid);
     right_child = w.right;
-    Encode(*node, w.page);
-    Encode(*right, w.right_page);
+    RETURN_IF_ERROR(Encode(*node, w.page));
+    RETURN_IF_ERROR(Encode(*right, w.right_page));
   }
   if (grow) {
     Node& root = node_cache_[new_root];
@@ -276,7 +300,7 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
     root.children = {root_, right_child};
     root.bytes = Node::kHeaderBytes + 4 + EntryBytes(false, key.size());
     root.keys.push_back(std::move(key));
-    Encode(root, new_root_page);
+    RETURN_IF_ERROR(Encode(root, new_root_page));
     root_ = new_root;
     ++height_;
   }
@@ -284,8 +308,8 @@ Status BTree::Insert(const std::string& user_key, Tid tid) {
   return Status::OK();
 }
 
-std::string BTree::Split(Node* node, Node* right, PageId right_pid) {
-  size_t mid = node->keys.size() / 2;
+std::string BTree::Split(Node* node, Node* right, PageId right_pid,
+                         size_t mid) {
   right->is_leaf = node->is_leaf;
   // Moves keys [from, end) to `right`; returns their encoded bytes.
   auto move_keys = [&](size_t from) {
@@ -329,7 +353,7 @@ std::string BTree::Split(Node* node, Node* right, PageId right_pid) {
 Status BTree::Delete(const std::string& user_key, Tid tid) {
   std::string stored = MakeStoredKey(user_key, tid);
   ASSIGN_OR_RETURN(PageId leaf, FindLeaf(stored));
-  ASSIGN_OR_RETURN(Node* node, GetNode(leaf));
+  ASSIGN_OR_RETURN(Node* node, GetNodeForWrite(leaf));
   auto it = std::lower_bound(node->keys.begin(), node->keys.end(), stored);
   if (it == node->keys.end() || *it != stored) {
     return Status::NotFound("index entry not found");
@@ -339,7 +363,7 @@ Status BTree::Delete(const std::string& user_key, Tid tid) {
   node->bytes -= EntryBytes(true, stored.size());
   node->keys.erase(it);
   node->tids.erase(node->tids.begin() + idx);
-  Encode(*node, page);
+  RETURN_IF_ERROR(Encode(*node, page));
   --num_entries_;
   return Status::OK();
 }

@@ -127,22 +127,26 @@ class BTree {
   /// access. Every call is metered as one buffer-pool fetch, exactly like the
   /// raw page read it replaces; the cache only elides re-deserialization.
   /// Entries are never evicted, so the returned pointer stays valid for the
-  /// lifetime of the tree. Writers edit the node through this pointer, but
-  /// only after FetchMut of its page succeeded, and then re-encode the page
-  /// (Encode): a failed write leaves node and page in agreement. Decode
-  /// validates the node structurally — header flag, entry bounds, strictly
-  /// ascending stored keys, child/next page ids in range — and returns
-  /// kDataLoss on any inconsistency without caching the bad decode.
-  StatusOr<Node*> GetNode(PageId pid) const;
-  /// Serializes `node` into `page` (already fetched for write).
-  static void Encode(const Node& node, Page* page);
+  /// lifetime of the tree. Decode validates the node structurally — header
+  /// flag, entry bounds, strictly ascending stored keys, child/next page ids
+  /// in range — and returns kDataLoss on any inconsistency without caching
+  /// the bad decode.
+  StatusOr<const Node*> GetNode(PageId pid) const;
+  /// GetNode for Insert and Delete, which edit the node in place, but only
+  /// after FetchMut of its page succeeded, and then re-encode the page: a
+  /// failed write leaves node and page in agreement.
+  StatusOr<Node*> GetNodeForWrite(PageId pid);
+  /// Serializes `node` into `page` (already fetched for write). Returns
+  /// kInternal, writing nothing past the page, if the node does not fit.
+  static Status Encode(const Node& node, Page* page);
   PageId AllocNode(bool leaf);
 
-  /// Moves the upper half of the overflowing `node` into the empty node
+  /// Moves keys [mid, end) of the overflowing `node` into the empty node
   /// `right` (a fresh page) and returns the separator the parent gains:
-  /// the first key of a right leaf, or the middle key of an internal node,
-  /// which moves up and is stored in neither half.
-  static std::string Split(Node* node, Node* right, PageId right_pid);
+  /// key `mid`, which stays first in a right leaf and moves up out of an
+  /// internal node, stored in neither half.
+  static std::string Split(Node* node, Node* right, PageId right_pid,
+                           size_t mid);
 
   /// Descends to the leaf that may contain the first stored key >= target.
   StatusOr<PageId> FindLeaf(const std::string& target) const;

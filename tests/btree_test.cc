@@ -295,8 +295,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BTreeDeleteFuzzTest,
 // access is a simulated disk read, so writes fail at every step — the
 // descent, the fetch for write after a split allocated its right sibling,
 // the parent's fetch after the child split. A write that fails must say so,
-// must leave every cached node equal to its page, and must leave the tree
-// as it was.
+// must leave every cached node equal to its page, and must leave the tree's
+// entries and height as they were. Its pages need not be: an insert
+// allocates each right sibling and a new root before the fetch that fails,
+// and those orphan pages stay counted in NINDX.
 TEST(BTreeWriteFaultTest, FailedWritesLeaveNodesMatchingPages) {
   PageStore store;
   BufferPool pool(&store, 1);
@@ -315,6 +317,8 @@ TEST(BTreeWriteFaultTest, FailedWritesLeaveNodesMatchingPages) {
   int failed = 0;
   int succeeded = 0;
   for (uint32_t op = 0; op < 1500; ++op) {
+    const size_t pages_before = tree.num_pages();
+    const int height_before = tree.height();
     injector.Arm();
     Status st;
     size_t victim = 0;
@@ -335,6 +339,11 @@ TEST(BTreeWriteFaultTest, FailedWritesLeaveNodesMatchingPages) {
     }
     ++failed;
     EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
+    EXPECT_EQ(tree.height(), height_before);
+    // At most one sibling per level of the path plus a new root; a delete
+    // allocates nothing.
+    size_t orphan_limit = insert ? static_cast<size_t>(height_before) + 1 : 0;
+    EXPECT_LE(tree.num_pages() - pages_before, orphan_limit);
     ExpectPagesMatchCache(tree, probes);
     if (::testing::Test::HasFailure()) return;
   }

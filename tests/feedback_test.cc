@@ -73,7 +73,7 @@ TEST_F(FeedbackTest, SignatureSharedAcrossAliases) {
             Signature("SELECT K FROM T WHERE A = 1"));
 }
 
-// IN-list length is part of the signature; LIKE keeps its pattern.
+// IN-list items are part of the signature; LIKE keeps its pattern.
 TEST_F(FeedbackTest, SignatureKeepsShapeDetails) {
   EXPECT_NE(Signature("SELECT K FROM T WHERE A IN (1, 2)"),
             Signature("SELECT K FROM T WHERE A IN (1, 2, 3)"));
